@@ -159,13 +159,14 @@ func main() {
 				egress.Add(s)
 			}
 			loop := replica.LoopStats()
+			node := replica.Node().Stats()
 			var gw string
 			if g := replica.Gateway(); g != nil {
 				s := g.Stats()
 				gw = fmt.Sprintf("; gateway %d admitted/%d rejected/%d deduped, %d acked (mean %s), %d ack-drops",
 					s.Admitted, s.Rejected(), s.Deduped, s.Acked, s.AckLatencyMean.Round(time.Microsecond), s.AckDrops)
 			}
-			logger.Printf("committed %d txs in %d batches (slot %d); egress ctl %d frames/%d flushes (%d delta), data %d frames/%d flushes, %d drops; ingress %d ctl/%d shard events, %d drops; gossip %d origin/%d relayed/%d dup-dropped; links %d dials/%d redials/%d stalls%s",
+			logger.Printf("committed %d txs in %d batches (slot %d); egress ctl %d frames/%d flushes (%d delta), data %d frames/%d flushes, %d drops; ingress %d ctl/%d shard events, %d drops; gossip %d origin/%d relayed/%d dup-dropped; links %d dials/%d redials/%d stalls; sync %d requests (%d retries), %d B received, %d B redundant%s",
 				committedTx, committedBatches, c.Slot,
 				egress.Control.Frames, egress.Control.Flushes, egress.Control.DeltaFrames,
 				egress.Data.Frames, egress.Data.Flushes,
@@ -173,7 +174,8 @@ func main() {
 				loop.ControlEvents, loop.ShardEvents,
 				loop.InboxDrops+loop.ShardDrops,
 				loop.GossipOrigin, loop.GossipRelays, loop.GossipDupDrops,
-				loop.PeerDials, loop.PeerRedials, loop.PeerStalls, gw)
+				loop.PeerDials, loop.PeerRedials, loop.PeerStalls,
+				node.SyncRequestsSent, node.SyncRetries, node.SyncBytesReceived, node.DataBytesRedundant, gw)
 		}
 	}
 }

@@ -34,11 +34,6 @@ const (
 // (crash/partition recovery: lost proposals or votes must be repeated).
 const carRetransmit = 500 * time.Millisecond
 
-// tipFetchDefer is the grace period before an optimistic-tip fetch is
-// actually sent: the tip's live broadcast usually lands first (§5.5.2
-// notes at most one extra sync request in the worst case).
-const tipFetchDefer = 150 * time.Millisecond
-
 // Reputation bounds (§B.1): a lane at or below repOptimisticMin no longer
 // gets optimistic tips in this replica's cuts until commits restore it.
 const (
@@ -207,10 +202,11 @@ type Node struct {
 	reputation []int
 	repCommits []int
 
-	// tipFetchQueue defers optimistic-tip fetches briefly: live broadcast
-	// almost always delivers the tip first, and eagerly fetching on every
-	// Prepare floods a congested replica with duplicate bulk data.
-	tipFetchQueue []deferredTipFetch
+	// tipFetchQueue holds the optimistic tips consensus votes are blocked
+	// on. The fetch manager decides when one is actually requested: live
+	// broadcast almost always delivers the tip first, and eagerly fetching
+	// on every Prepare floods a congested replica with duplicate bulk data.
+	tipFetchQueue []pendingTipFetch
 
 	// Execution layer (cfg.Execution): the deterministic machine, the
 	// latest snapshot (manifest + encoded form + state, served to peers)
@@ -261,24 +257,33 @@ type Node struct {
 	ctx runtime.Context // valid during event processing
 }
 
-type deferredTipFetch struct {
+type pendingTipFetch struct {
 	leader types.NodeID
 	tip    types.TipRef
 	slot   types.Slot
 	view   types.View
-	due    time.Duration
+	since  time.Duration // when the vote blocked on the tip
 }
 
 // Stats is a point-in-time snapshot of node-level protocol counters.
 type Stats struct {
-	BatchesProposed    uint64
-	ProposalsReceived  uint64
-	VotesSent          uint64
-	SlotsDecided       uint64
-	EntriesOrdered     uint64
-	TxOrdered          uint64
-	SyncRequestsSent   uint64
-	SyncRepliesServed  uint64
+	BatchesProposed   uint64
+	ProposalsReceived uint64
+	VotesSent         uint64
+	SlotsDecided      uint64
+	EntriesOrdered    uint64
+	TxOrdered         uint64
+	SyncRequestsSent  uint64
+	// SyncRetries counts the sync requests re-issued to another target
+	// because the first went unanswered (a subset of SyncRequestsSent).
+	SyncRetries       uint64
+	SyncRepliesServed uint64
+	// SyncBytesReceived is the payload of every proposal that arrived in
+	// a SyncReply; DataBytesRedundant the payload of every proposal, live
+	// or synced, that was already stored when it arrived — whichever copy
+	// loses the race through the ingest path is the wasted one.
+	SyncBytesReceived  uint64
+	DataBytesRedundant uint64
 	TimeoutsSent       uint64
 	SnapshotsInstalled uint64
 	// SnapshotFrontier is the slot of the latest local snapshot (0 when
@@ -296,7 +301,10 @@ type nodeStats struct {
 	EntriesOrdered     atomic.Uint64
 	TxOrdered          atomic.Uint64
 	SyncRequestsSent   atomic.Uint64
+	SyncRetries        atomic.Uint64
 	SyncRepliesServed  atomic.Uint64
+	SyncBytesReceived  atomic.Uint64
+	DataBytesRedundant atomic.Uint64
 	TimeoutsSent       atomic.Uint64
 	SnapshotsInstalled atomic.Uint64
 	SnapshotFrontier   atomic.Uint64
@@ -311,7 +319,10 @@ func (s *nodeStats) snapshot() Stats {
 		EntriesOrdered:     s.EntriesOrdered.Load(),
 		TxOrdered:          s.TxOrdered.Load(),
 		SyncRequestsSent:   s.SyncRequestsSent.Load(),
+		SyncRetries:        s.SyncRetries.Load(),
 		SyncRepliesServed:  s.SyncRepliesServed.Load(),
+		SyncBytesReceived:  s.SyncBytesReceived.Load(),
+		DataBytesRedundant: s.DataBytesRedundant.Load(),
 		TimeoutsSent:       s.TimeoutsSent.Load(),
 		SnapshotsInstalled: s.SnapshotsInstalled.Load(),
 		SnapshotFrontier:   s.SnapshotFrontier.Load(),
@@ -611,7 +622,7 @@ func (n *Node) OnMessage(ctx runtime.Context, from types.NodeID, m types.Message
 		n.tips.ownTip, n.tips.ownCert = msg.tip, msg.cert
 		n.engine.OnTipsAdvanced() // own leader tip advanced
 	case *syncDone:
-		n.onSyncDone(ctx, msg)
+		n.syncIngested(ctx, msg.from, msg.rep)
 	}
 }
 
@@ -629,8 +640,8 @@ func (n *Node) OnTimer(ctx runtime.Context, tag runtime.TimerTag) {
 	case tagFetchTick:
 		n.pumpTipFetches(ctx)
 		for _, em := range n.fetcher.Tick(ctx.Now()) {
-			n.stats.SyncRequestsSent.Add(1)
-			ctx.Send(em.To, em.Msg)
+			n.stats.SyncRetries.Add(1)
+			n.request(ctx, em)
 		}
 		// Re-drive stalled execution: abandoned fetches for data a
 		// pending slot still needs are re-created here.
@@ -772,6 +783,7 @@ func (n *Node) dropPending(pending *[]pendingSend) {
 // the classic single-threaded path (shardState.handleProposal is the
 // data-plane counterpart).
 func (n *Node) handleProposal(ctx runtime.Context, from types.NodeID, p *types.Proposal, live bool) {
+	n.countArrival(p, live)
 	if p.Lane == n.cfg.Self {
 		// Own-lane data arriving from outside: meaningless on the live
 		// path (peers do not re-broadcast our cars), but sync deliveries
@@ -788,16 +800,34 @@ func (n *Node) handleProposal(ctx runtime.Context, from types.NodeID, p *types.P
 		n.stats.VotesSent.Add(1)
 		ctx.Send(p.Lane, v)
 	}
-	if err == lane.ErrMissingParent && live {
-		n.scheduleGapFetch(ctx, p.Lane)
+	if err != nil && err != lane.ErrMissingParent {
+		return
 	}
-	if err == nil || err == lane.ErrMissingParent {
-		// Data arrival can unblock pending consensus votes and execution,
-		// and new certified tips (carried as ParentPoA) advance coverage.
-		n.fetcher.Cancel(p.Lane, n.lanes.VotedPos(p.Lane))
-		n.engine.OnTipsAdvanced()
-		n.retryPendingVotes()
-		n.drainExecution(ctx)
+	if live {
+		n.fetcher.NoteLive(ctx.Now(), p.Lane, p.Position)
+		if err == lane.ErrMissingParent {
+			n.wantGap(ctx, p.Lane)
+		}
+	}
+	// Data arrival can unblock pending consensus votes and execution,
+	// and new certified tips (carried as ParentPoA) advance coverage.
+	n.fetcher.Settle(p.Lane, n.lanes.Store().Has)
+	n.engine.OnTipsAdvanced()
+	n.retryPendingVotes()
+	n.drainExecution(ctx)
+}
+
+// countArrival feeds the sync-traffic counters; it must run before the
+// proposal is stored.
+func (n *Node) countArrival(p *types.Proposal, live bool) {
+	if p.Batch == nil {
+		return
+	}
+	if !live {
+		n.stats.SyncBytesReceived.Add(p.Batch.Bytes)
+	}
+	if n.lanes.Store().Has(p.Lane, p.Position, p.Digest()) {
+		n.stats.DataBytesRedundant.Add(p.Batch.Bytes)
 	}
 }
 
@@ -818,32 +848,30 @@ func (n *Node) handleVote(ctx runtime.Context, v *types.Vote) {
 	}
 }
 
-// scheduleGapFetch starts a sync for a detected lane gap, targeting the
-// certifiers of the buffered proposal's parent (at least one is correct
-// and, by FIFO voting, holds the whole history). At most one bulk range
-// is in flight per lane (counting execution catch-up fetches): each
-// partial fill otherwise spawns an overlapping fetch while the previous
-// reply still streams, melting the ingest pipeline.
-func (n *Node) scheduleGapFetch(ctx runtime.Context, l types.NodeID) {
-	from, to, anchor, ok := n.lanes.BufferedGap(l)
-	if !ok {
-		return
+// wantGap asks for the hole beneath a lane's buffered live cars,
+// targeting the certifiers of the lowest buffered proposal's parent (at
+// least one is correct and, by FIFO voting, holds the whole history).
+func (n *Node) wantGap(ctx runtime.Context, l types.NodeID) {
+	if from, to, anchor, ok := n.lanes.BufferedGap(l); ok {
+		n.wantGapAt(ctx, l, from, to, anchor)
 	}
-	n.scheduleGapFetchAt(ctx, l, from, to, anchor)
 }
 
-// scheduleGapFetchAt is scheduleGapFetch for an already-localized gap —
-// the form the sharded path uses, because BufferedGap reads shard-owned
-// state and the range therefore rides in the shard's notice.
-func (n *Node) scheduleGapFetchAt(ctx runtime.Context, l types.NodeID, from, to types.Pos, anchor types.TipRef) {
-	if n.fetcher.HasPending(l, fetch.PurposeGap) || n.fetcher.HasPending(l, fetch.PurposeExecute) {
-		return
-	}
+// wantGapAt is wantGap for an already-localized gap — the form the
+// sharded path uses, because BufferedGap reads shard-owned state and the
+// range therefore rides in the shard's notice.
+func (n *Node) wantGapAt(ctx runtime.Context, l types.NodeID, from, to types.Pos, anchor types.TipRef) {
 	targets := []types.NodeID{l}
 	if anchor.Cert != nil {
 		targets = append(anchor.Cert.Signers(), l)
 	}
-	if em := n.fetcher.Start(ctx.Now(), l, from, to, anchor.Digest, targets, fetch.PurposeGap, 0, 0); em != nil {
+	n.request(ctx, n.fetcher.Want(ctx.Now(), l, from, to, anchor.Digest, targets))
+}
+
+// request sends a sync request the fetch manager emitted (nil: nothing
+// to ask for now).
+func (n *Node) request(ctx runtime.Context, em *fetch.Emit) {
+	if em != nil {
 		n.stats.SyncRequestsSent.Add(1)
 		ctx.Send(em.To, em.Msg)
 	}
@@ -868,39 +896,32 @@ func (n *Node) serveSync(ctx runtime.Context, req *types.SyncRequest) {
 }
 
 func (n *Node) handleSyncReply(ctx runtime.Context, from types.NodeID, rep *types.SyncReply) {
-	res, err := n.fetcher.OnReply(ctx.Now(), from, rep)
-	if err == fetch.ErrUnsolicited {
-		// Late reply to an abandoned request: the data is still valuable
-		// (ingestion is idempotent and execution may be waiting on it).
-		for _, p := range rep.Proposals {
-			n.handleProposal(ctx, from, p, false)
-		}
-		n.drainExecution(ctx)
+	if fetch.ValidateChain(rep) != nil {
 		return
 	}
-	if err != nil || res == nil {
-		return
-	}
-	if res.Remainder != nil {
-		// The lower sub-range usually already arrived as earlier chunks
-		// of the same FIFO stream; only chase it if truly absent.
-		rm := res.Remainder.Msg
-		if n.lanes.Store().Has(rm.Lane, rm.To, rm.TipDigest) {
-			n.fetcher.Cancel(rm.Lane, rm.To)
-		} else {
-			n.stats.SyncRequestsSent.Add(1)
-			ctx.Send(res.Remainder.To, res.Remainder.Msg)
-		}
-	}
-	for _, p := range res.Proposals {
+	for _, p := range rep.Proposals {
 		// Feed synced proposals through the normal lane path: the store
-		// absorbs them and FIFO voting resumes where possible.
+		// absorbs them and FIFO voting resumes where possible. That holds
+		// for a late reply to an abandoned request too — ingestion is
+		// idempotent and execution may be waiting on the data.
 		n.handleProposal(ctx, from, p, false)
 	}
-	if res.Request.Purpose == fetch.PurposeTipVote {
-		n.engine.TipDataArrived(res.Request.Slot, res.Request.View)
+	n.syncIngested(ctx, from, rep)
+}
+
+// syncIngested reconciles an ingested sync reply with the fetch manager,
+// sends the follow-up request when the reply ended a served window, and
+// resumes execution. Both data planes end here — the classic handler
+// above and the shard's syncDone notice — so catch-up is scheduled in one
+// place. Ingestion comes first on both: each ingested car re-evaluates
+// what execution still lacks, and must find the cars behind it in the
+// same reply still covered by the stream, not missing.
+func (n *Node) syncIngested(ctx runtime.Context, from types.NodeID, rep *types.SyncReply) {
+	next, err := n.fetcher.OnReply(ctx.Now(), from, rep)
+	n.request(ctx, next)
+	if err == nil || err == fetch.ErrUnsolicited {
+		n.drainExecution(ctx)
 	}
-	n.drainExecution(ctx)
 }
 
 func (n *Node) retryPendingVotes() {
@@ -996,24 +1017,16 @@ func (n *Node) retryMissingDecision(ctx runtime.Context) {
 func (n *Node) drainExecution(ctx runtime.Context) {
 	entries, missing, executed := n.orderer.TryExecute()
 	if len(missing) > 0 {
-		// Coalesce across every decided slot (one range per lane), but
-		// keep the precise ranges for lanes the coalescing dropped: the
-		// per-lane "best tip" anchor assumes a lane's pending tips lie on
-		// one chain, and an equivocating lane violates that — the first
-		// blocked slot can need a fork sibling that no later (locally
-		// complete) chain covers, which would otherwise never be fetched
-		// and wedge execution forever.
-		coalesced := n.orderer.CatchupRanges()
-		covered := make(map[types.NodeID]bool, len(coalesced))
-		for _, m := range coalesced {
-			covered[m.Lane] = true
-		}
-		for _, m := range missing {
-			if !covered[m.Lane] {
-				coalesced = append(coalesced, m)
-			}
-		}
-		missing = coalesced
+		// Ask per lane across every decided slot first (one range anchored
+		// at the highest committed tip), then for the blocked slot's own
+		// ranges. The fetch manager folds a lane's ranges into its one
+		// stream, so asking twice costs nothing — and the blocked slot's
+		// range must get its turn when the coalesced one is refused: its
+		// top may still be in flight by live broadcast, or lie on another
+		// fork (the per-lane "highest tip" anchor assumes a lane's pending
+		// tips lie on one chain; an equivocating lane violates that, and the
+		// blocked slot can need a fork sibling no later chain covers).
+		missing = append(n.orderer.CatchupRanges(), missing...)
 	}
 	for _, e := range entries {
 		n.stats.EntriesOrdered.Add(1)
@@ -1076,9 +1089,6 @@ func (n *Node) drainExecution(ctx runtime.Context) {
 		n.engine.OnTipsAdvanced()
 	}
 	for _, m := range missing {
-		if n.fetcher.HasPending(m.Lane, fetch.PurposeExecute) || n.fetcher.HasPending(m.Lane, fetch.PurposeGap) {
-			continue // one bulk range per lane at a time
-		}
 		targets := []types.NodeID{m.Lane}
 		if m.Tip.Cert != nil {
 			targets = append(m.Tip.Cert.Signers(), m.Lane)
@@ -1087,10 +1097,7 @@ func (n *Node) drainExecution(ctx runtime.Context) {
 				targets = append(targets, sh.Signer)
 			}
 		}
-		if em := n.fetcher.Start(ctx.Now(), m.Lane, m.From, m.To, m.TipDigest, targets, fetch.PurposeExecute, m.Slot, 0); em != nil {
-			n.stats.SyncRequestsSent.Add(1)
-			ctx.Send(em.To, em.Msg)
-		}
+		n.request(ctx, n.fetcher.Want(ctx.Now(), m.Lane, m.From, m.To, m.TipDigest, targets))
 	}
 }
 
@@ -1151,6 +1158,7 @@ func (e *consensusEnv) Decide(s types.Slot, p *types.ConsensusProposal, qc *type
 
 func (e *consensusEnv) FetchTipData(leader types.NodeID, tips []types.TipRef, s types.Slot, v types.View) {
 	nd := e.node()
+	added := false
 	for _, t := range tips {
 		dup := false
 		for _, q := range nd.tipFetchQueue {
@@ -1160,35 +1168,31 @@ func (e *consensusEnv) FetchTipData(leader types.NodeID, tips []types.TipRef, s 
 			}
 		}
 		if !dup {
-			nd.tipFetchQueue = append(nd.tipFetchQueue, deferredTipFetch{
-				leader: leader, tip: t, slot: s, view: v,
-				due: nd.ctx.Now() + tipFetchDefer,
+			added = true
+			nd.tipFetchQueue = append(nd.tipFetchQueue, pendingTipFetch{
+				leader: leader, tip: t, slot: s, view: v, since: nd.ctx.Now(),
 			})
 		}
 	}
+	// A tip the lane's live stream has already passed is lost, not late:
+	// it is requested at once (the fetch tick covers the rest).
+	if added {
+		nd.pumpTipFetches(nd.ctx)
+	}
 }
 
-// pumpTipFetches issues deferred tip fetches whose grace period expired
-// and whose vote is still blocked (live data usually arrives first).
+// pumpTipFetches offers every tip a vote is still blocked on to the
+// fetch manager, which requests it once it is no longer in flight by
+// live broadcast (the data usually arrives first).
 func (n *Node) pumpTipFetches(ctx runtime.Context) {
 	kept := n.tipFetchQueue[:0]
 	for _, q := range n.tipFetchQueue {
 		if !n.engine.HasPendingVote(q.slot, q.view) || n.lanes.HasProposal(q.tip) {
 			continue // moot: decided, view moved on, or data arrived
 		}
-		if ctx.Now() < q.due {
-			kept = append(kept, q)
-			continue
-		}
-		if n.fetcher.HasPending(q.tip.Lane, fetch.PurposeGap) || n.fetcher.HasPending(q.tip.Lane, fetch.PurposeExecute) {
-			kept = append(kept, q) // a range fetch already covers this lane
-			continue
-		}
-		targets := []types.NodeID{q.leader, q.tip.Lane}
-		if em := n.fetcher.Start(ctx.Now(), q.tip.Lane, q.tip.Position, q.tip.Position, q.tip.Digest, targets, fetch.PurposeTipVote, q.slot, q.view); em != nil {
-			n.stats.SyncRequestsSent.Add(1)
-			ctx.Send(em.To, em.Msg)
-		}
+		kept = append(kept, q)
+		n.request(ctx, n.fetcher.WantTip(ctx.Now(), q.tip.Lane, q.tip.Position, q.tip.Digest,
+			[]types.NodeID{q.leader, q.tip.Lane}, q.since))
 	}
 	n.tipFetchQueue = kept
 }

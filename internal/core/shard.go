@@ -50,9 +50,9 @@ type laneNotice struct {
 	// cert/opt are the lane's tip snapshots at flush time (cert carries a
 	// real PoA or is genesis).
 	cert, opt types.TipRef
-	// votedPos is the highest contiguous voted position — outstanding
-	// fetches at or below it are moot.
-	votedPos types.Pos
+	// livePos is the highest position the lane's live broadcast delivered
+	// during the burst (0: none) — the fetch manager's in-flight frontier.
+	livePos types.Pos
 	// dataArrived reports that at least one proposal was ingested (vote
 	// retries, execution draining and coverage may all be unblocked).
 	dataArrived bool
@@ -61,7 +61,7 @@ type laneNotice struct {
 	// consensus engine must still be poked, as the classic path does.
 	certAdvanced bool
 	// hasGap reports a buffered out-of-order proposal; [gapFrom, gapTo]
-	// anchored at gapAnchor is the missing range to fetch.
+	// anchored at gapAnchor is the missing range to fetch, as of the flush.
 	hasGap         bool
 	gapFrom, gapTo types.Pos
 	gapAnchor      types.TipRef
@@ -348,6 +348,13 @@ func (sh *shardState) flushNotices(ctx runtime.Context) {
 		delete(sh.notices, l)
 		no.cert = n.lanes.CertifiedTip(l)
 		no.opt = n.lanes.OptimisticTip(l)
+		if no.hasGap {
+			// The gap as it stands now: a sync reply later in the burst may
+			// have closed it, and its syncDone is already on its way to the
+			// control plane — a stale range arriving behind it would be
+			// fetched a second time.
+			no.gapFrom, no.gapTo, no.gapAnchor, no.hasGap = n.lanes.BufferedGap(l)
+		}
 		ctx.Send(n.cfg.Self, no)
 	}
 	sh.order = sh.order[:0]
@@ -368,6 +375,7 @@ func (sh *shardState) flushNotices(ctx runtime.Context) {
 // retries, execution draining, gap fetches) ride the coalesced notice.
 func (sh *shardState) handleProposal(ctx runtime.Context, p *types.Proposal, live bool) {
 	n := sh.n
+	n.countArrival(p, live)
 	if p.Lane == n.cfg.Self {
 		// Own-lane sync delivery (amnesia catch-up / lost self-fork): it
 		// routes to the own-lane shard (ShardOf keys on the lane), so the
@@ -385,15 +393,14 @@ func (sh *shardState) handleProposal(ctx runtime.Context, p *types.Proposal, liv
 		ctx.Send(p.Lane, v)
 	}
 	no := sh.note(p.Lane)
-	if err == lane.ErrMissingParent && live && !no.hasGap {
-		if from, to, anchor, ok := n.lanes.BufferedGap(p.Lane); ok {
-			no.hasGap = true
-			no.gapFrom, no.gapTo, no.gapAnchor = from, to, anchor
-		}
+	if err == lane.ErrMissingParent && live {
+		no.hasGap = true // localized at flush time, like the tips
 	}
 	if err == nil || err == lane.ErrMissingParent {
 		no.dataArrived = true
-		no.votedPos = n.lanes.VotedPos(p.Lane)
+		if live && p.Position > no.livePos {
+			no.livePos = p.Position
+		}
 	}
 }
 
@@ -480,11 +487,17 @@ func (n *Node) onLaneNotice(ctx runtime.Context, msg *laneNotice) {
 			n.reputation[msg.lane] = 0
 		}
 	}
+	if msg.livePos > 0 {
+		n.fetcher.NoteLive(ctx.Now(), msg.lane, msg.livePos)
+	}
+	if msg.hasGap {
+		n.wantGapAt(ctx, msg.lane, msg.gapFrom, msg.gapTo, msg.gapAnchor)
+	}
 	if msg.dataArrived {
 		// Data arrival can unblock pending consensus votes and execution,
 		// and new certified tips advance coverage — same consequences the
 		// classic handler applies inline.
-		n.fetcher.Cancel(msg.lane, msg.votedPos)
+		n.fetcher.Settle(msg.lane, n.lanes.Store().Has)
 		n.engine.OnTipsAdvanced()
 		n.retryPendingVotes()
 		n.drainExecution(ctx)
@@ -494,36 +507,4 @@ func (n *Node) onLaneNotice(ctx runtime.Context, msg *laneNotice) {
 		// engine unconditionally).
 		n.engine.OnTipsAdvanced()
 	}
-	if msg.hasGap {
-		n.scheduleGapFetchAt(ctx, msg.lane, msg.gapFrom, msg.gapTo, msg.gapAnchor)
-	}
-}
-
-// onSyncDone reconciles a shard-ingested sync reply with the fetch
-// manager: remainder chasing, tip-vote unblocking, execution draining.
-// The proposals themselves are already in the store.
-func (n *Node) onSyncDone(ctx runtime.Context, msg *syncDone) {
-	res, err := n.fetcher.OnReply(ctx.Now(), msg.from, msg.rep)
-	if err == fetch.ErrUnsolicited {
-		// Late reply to an abandoned request: already ingested on the
-		// shard; execution may still be waiting on the data.
-		n.drainExecution(ctx)
-		return
-	}
-	if err != nil || res == nil {
-		return
-	}
-	if res.Remainder != nil {
-		rm := res.Remainder.Msg
-		if n.lanes.Store().Has(rm.Lane, rm.To, rm.TipDigest) {
-			n.fetcher.Cancel(rm.Lane, rm.To)
-		} else {
-			n.stats.SyncRequestsSent.Add(1)
-			ctx.Send(res.Remainder.To, res.Remainder.Msg)
-		}
-	}
-	if res.Request.Purpose == fetch.PurposeTipVote {
-		n.engine.TipDataArrived(res.Request.Slot, res.Request.View)
-	}
-	n.drainExecution(ctx)
 }

@@ -5,8 +5,16 @@
 // history). Synchronization is non-blocking: it proceeds in parallel with
 // consensus voting and only gates execution.
 //
+// Catch-up is single-copy: every car a recovering replica is missing
+// should cross its ingest path once. The manager therefore keeps one
+// catch-up stream per lane — a range with a cursor — asks for each
+// position once, issues one follow-up per served window, and re-asks only
+// when the stream has gone silent; positions above a lane's advancing
+// live frontier are on their way and are not asked for at all.
+//
 // The manager is a pure state machine: the node sends the requests it
-// emits, feeds replies back, and pumps retries from a coarse tick timer.
+// emits, feeds replies and live arrivals back, and pumps retries from a
+// coarse tick timer.
 package fetch
 
 import (
@@ -19,64 +27,51 @@ import (
 	"repro/internal/types"
 )
 
-// Purpose tags why a range is being fetched, so the node can resume the
-// right work when data lands.
-type Purpose uint8
-
-const (
-	// PurposeGap fills a live-voting gap in a peer lane.
-	PurposeGap Purpose = iota + 1
-	// PurposeExecute fills data needed to execute a committed slot.
-	PurposeExecute
-	// PurposeTipVote fetches an optimistic tip before consensus voting
-	// (§5.5.2); Slot/View identify the pending vote.
-	PurposeTipVote
-)
-
-// Request is an outstanding fetch.
+// Request is an outstanding fetch: a lane's catch-up stream (From is its
+// cursor — the next position still to arrive) or a point request for one
+// optimistic tip (From == To).
 type Request struct {
 	Lane      types.NodeID
 	From, To  types.Pos
 	TipDigest types.Digest
-	Purpose   Purpose
-	Slot      types.Slot
-	View      types.View
 
-	targets  []types.NodeID
-	attempt  int
-	lastSend time.Duration
+	targets []types.NodeID
+	// target indexes the replica currently asked; attempt counts the
+	// targets tried since the request last progressed.
+	target, attempt int
+	// sent is when the outstanding SyncRequest left; progress is the later
+	// of that and the last reply that advanced the request.
+	sent, progress time.Duration
+	// asked is the top position the outstanding SyncRequest named and got
+	// the bytes received since it left: together they tell when the
+	// responder's window has been served in full (see Serve).
+	asked types.Pos
+	got   int
+	// below is the digest of position From-1 as the stream delivered it
+	// (zero before the first reply): the next reply must chain onto it.
+	below types.Digest
 }
 
 type key struct {
 	lane types.NodeID
-	to   types.Pos
+	pos  types.Pos
 	dig  types.Digest
 }
 
 // Config parameterizes the manager.
 type Config struct {
 	Self types.NodeID
-	// RetryAfter re-issues an unanswered request to the next target
-	// (default 300ms — beyond one intra-US RTT plus processing).
+	// RetryAfter is how long a request may stay silent before it is
+	// re-issued to the next target, and how long a lane's live stream may
+	// stay silent before positions above it count as lost (default 300ms —
+	// beyond one intra-US RTT plus processing). Replies that queue behind
+	// a busy ingest path stretch it: see Manager.patience.
 	RetryAfter time.Duration
 	// MaxReplyProposals bounds accepted reply sizes (flooding guard).
 	MaxReplyProposals int
-	// MaxAttempts abandons a fetch after this many sends (default 10).
-	// Consumers that still need the data re-issue it (execution retries
-	// from the orderer's missing set, pending votes from the engine); a
-	// fetch nobody re-issues was stale — e.g. an optimistic-tip fetch for
-	// a slot that has since decided — and must not retry forever.
-	MaxAttempts int
-	// PerPositionDelay extends the retry deadline proportionally to the
-	// requested range (default 10ms per position): bulk backlog transfers
-	// take real time and must not be re-requested while streaming.
-	PerPositionDelay time.Duration
-	// MaxOutstandingPositions bounds the total in-flight requested range
-	// across all fetches (default 512 positions ≈ a few hundred MB of
-	// batches) — receive-side backpressure. Without it, retrying bulk
-	// fetches whose replies are queued behind a saturated ingest pipeline
-	// causes congestion collapse. Point requests (From == To) bypass the
-	// budget so consensus voting never starves.
+	// MaxOutstandingPositions bounds the total range the catch-up streams
+	// may have outstanding (default 512 positions). Point requests bypass
+	// the budget so consensus voting never starves.
 	MaxOutstandingPositions int
 }
 
@@ -87,37 +82,48 @@ func (c *Config) fill() {
 	if c.MaxReplyProposals == 0 {
 		c.MaxReplyProposals = 1 << 16
 	}
-	if c.MaxAttempts == 0 {
-		c.MaxAttempts = 10
-	}
-	if c.PerPositionDelay == 0 {
-		c.PerPositionDelay = 10 * time.Millisecond
-	}
 	if c.MaxOutstandingPositions == 0 {
 		c.MaxOutstandingPositions = 512
 	}
 }
 
+// liveMark is the highest position a lane's live broadcast has delivered,
+// and when it got there.
+type liveMark struct {
+	pos types.Pos
+	at  time.Duration
+}
+
 // Manager tracks outstanding fetches.
 type Manager struct {
 	cfg     Config
-	pending map[key]*Request
+	streams map[types.NodeID]*Request
+	tips    map[key]*Request
+	live    map[types.NodeID]liveMark
+	// age is the oldest a request has been when a reply for it still
+	// arrived, over the current catch-up episode (see patience).
+	age time.Duration
 }
 
 // NewManager builds a fetch manager.
 func NewManager(cfg Config) *Manager {
 	cfg.fill()
-	return &Manager{cfg: cfg, pending: make(map[key]*Request)}
+	return &Manager{
+		cfg:     cfg,
+		streams: make(map[types.NodeID]*Request),
+		tips:    make(map[key]*Request),
+		live:    make(map[types.NodeID]liveMark),
+	}
 }
 
 // Outstanding returns the number of pending fetches.
-func (m *Manager) Outstanding() int { return len(m.pending) }
+func (m *Manager) Outstanding() int { return len(m.streams) + len(m.tips) }
 
-// budgetUsed sums the in-flight requested ranges.
+// budgetUsed sums the ranges the streams still have to receive.
 func (m *Manager) budgetUsed() int {
 	used := 0
-	for _, req := range m.pending {
-		used += int(req.To - req.From + 1)
+	for _, s := range m.streams {
+		used += int(s.To - s.From + 1)
 	}
 	return used
 }
@@ -128,170 +134,293 @@ type Emit struct {
 	Msg *types.SyncRequest
 }
 
-// Start begins fetching [from, to] of lane, anchored at tipDigest, asking
-// the given candidate targets in order (certifier quorum first). It
-// returns the message to send now, or nil if an equivalent or broader
-// fetch is already outstanding.
-func (m *Manager) Start(now time.Duration, lane types.NodeID, from, to types.Pos, tipDigest types.Digest, targets []types.NodeID, p Purpose, slot types.Slot, view types.View) *Emit {
-	if to < from || to == 0 {
+// NoteLive records that the lane's live broadcast delivered the car at
+// pos (in order or buffered above a gap). Links are FIFO, so once a live
+// car has arrived everything the lane broadcast after it is on its way.
+// Only a car above the frontier counts as the lane delivering: a lane
+// replaying old cars must not keep what it withholds looking in flight.
+func (m *Manager) NoteLive(now time.Duration, lane types.NodeID, pos types.Pos) {
+	if pos > m.live[lane].pos {
+		m.live[lane] = liveMark{pos: pos, at: now}
+	}
+}
+
+// inFlight reports whether the lane's car at pos is still on its way by
+// live broadcast: it lies above everything the lane has delivered, and
+// the lane delivered something — or the need arose (since) — less than
+// patience ago. A position at or below the live frontier that is absent
+// was overtaken on a FIFO link: it is lost, not late.
+func (m *Manager) inFlight(now time.Duration, lane types.NodeID, pos types.Pos, since time.Duration) bool {
+	lv := m.live[lane]
+	if lv.at > since {
+		since = lv.at
+	}
+	return pos > lv.pos && now-since < m.patience()
+}
+
+// Want makes sure [from, to] of lane, anchored at tipDigest, is being
+// fetched, asking the given candidate targets in order (certifier quorum
+// first). It returns the message to send now, or nil: when the top of the
+// range is still in flight by live broadcast (the hole beneath a lane's
+// first live car is wanted by its own, lower range), when the lane's
+// stream already covers the range or was extended upward to cover it, or
+// when the budget is spent (callers re-trigger from their tick paths). A
+// lane has at most one stream, so ranges never overlap.
+func (m *Manager) Want(now time.Duration, lane types.NodeID, from, to types.Pos, tipDigest types.Digest, targets []types.NodeID) *Emit {
+	if to < from || to == 0 || m.inFlight(now, lane, to, 0) {
 		return nil
 	}
-	k := key{lane, to, tipDigest}
-	if req, ok := m.pending[k]; ok {
-		// Broaden an existing fetch downward if needed.
-		if from < req.From {
-			req.From = from
-		}
+	s, streaming := m.streams[lane]
+	if streaming && (to <= s.To || from > s.To+1) {
+		return nil // covered, or not adjoining: wait for the stream to finish
+	}
+	grow := int(to - from + 1)
+	if streaming {
+		grow = int(to - s.To)
+	}
+	if m.budgetUsed()+grow > m.cfg.MaxOutstandingPositions {
 		return nil
 	}
-	if to != from && m.budgetUsed()+int(to-from+1) > m.cfg.MaxOutstandingPositions {
-		return nil // over budget: callers re-trigger from their tick paths
+	if targets = m.peers(targets); len(targets) == 0 {
+		return nil
 	}
-	// Filter self out of targets.
+	if streaming {
+		// A higher anchor adjoining the stream extends it: the follow-up
+		// request names the new top, and its certifiers hold the whole
+		// range.
+		s.To, s.TipDigest, s.targets, s.target, s.attempt = to, tipDigest, targets, 0, 0
+		m.dropTips(lane, s.From, s.To)
+		return nil
+	}
+	m.begin()
+	s = &Request{Lane: lane, From: from, To: to, TipDigest: tipDigest, targets: targets}
+	m.streams[lane] = s
+	// A range that subsumes a point request replaces it.
+	m.dropTips(lane, from, to)
+	return m.send(now, s)
+}
+
+// WantTip makes sure the single proposal (pos, digest) of lane — an
+// optimistic tip a consensus vote is blocked on since `since` — is being
+// fetched. Nil when it is still in flight by live broadcast, covered by
+// the lane's stream, or already requested. A point request never becomes
+// a range.
+func (m *Manager) WantTip(now time.Duration, lane types.NodeID, pos types.Pos, digest types.Digest, targets []types.NodeID, since time.Duration) *Emit {
+	if pos == 0 || m.inFlight(now, lane, pos, since) {
+		return nil
+	}
+	if s, ok := m.streams[lane]; ok && s.From <= pos && pos <= s.To {
+		return nil
+	}
+	k := key{lane, pos, digest}
+	if _, ok := m.tips[k]; ok {
+		return nil
+	}
+	targets = m.peers(targets)
+	if len(targets) == 0 {
+		return nil
+	}
+	m.begin()
+	r := &Request{Lane: lane, From: pos, To: pos, TipDigest: digest, targets: targets}
+	m.tips[k] = r
+	return m.send(now, r)
+}
+
+// peers filters self out of a target list.
+func (m *Manager) peers(targets []types.NodeID) []types.NodeID {
 	clean := make([]types.NodeID, 0, len(targets))
 	for _, t := range targets {
 		if t != m.cfg.Self {
 			clean = append(clean, t)
 		}
 	}
-	if len(clean) == 0 {
-		return nil
-	}
-	req := &Request{
-		Lane: lane, From: from, To: to, TipDigest: tipDigest,
-		Purpose: p, Slot: slot, View: view,
-		targets: clean, lastSend: now,
-	}
-	m.pending[k] = req
-	return m.emit(req)
+	return clean
 }
 
-func (m *Manager) emit(req *Request) *Emit {
-	target := req.targets[req.attempt%len(req.targets)]
+// begin opens a catch-up episode when nothing is outstanding: the
+// previous episode's reply ages say nothing about this one.
+func (m *Manager) begin() {
+	if m.Outstanding() == 0 {
+		m.age = 0
+	}
+}
+
+func (m *Manager) dropTips(lane types.NodeID, from, to types.Pos) {
+	for k := range m.tips {
+		if k.lane == lane && from <= k.pos && k.pos <= to {
+			delete(m.tips, k)
+		}
+	}
+}
+
+// send emits the request's SyncRequest to its current target.
+func (m *Manager) send(now time.Duration, r *Request) *Emit {
+	r.sent, r.progress, r.asked, r.got = now, now, r.To, 0
 	return &Emit{
-		To: target,
+		To: r.targets[r.target%len(r.targets)],
 		Msg: &types.SyncRequest{
-			Lane: req.Lane, From: req.From, To: req.To,
-			TipDigest: req.TipDigest, Requester: m.cfg.Self,
+			Lane: r.Lane, From: r.From, To: r.To,
+			TipDigest: r.TipDigest, Requester: m.cfg.Self,
 		},
 	}
 }
 
-// retryDeadline returns how long a request may wait before re-issue,
-// scaled by range size (large transfers stream for a while).
-func (m *Manager) retryDeadline(req *Request) time.Duration {
-	span := time.Duration(req.To-req.From+1) * m.cfg.PerPositionDelay
-	return m.cfg.RetryAfter + span
+// patience is how long a request may stay silent before it counts as
+// lost: RetryAfter, stretched to twice the oldest a request has been in
+// this episode when a reply for it still arrived. A recovering replica's
+// replies queue behind everything else crossing its ingest path, and
+// each re-request is answered with a whole window that lands after the
+// original — so the clock runs against the pace replies are actually
+// arriving at, never against a fixed guess, and never against a stream
+// that is progressing.
+func (m *Manager) patience() time.Duration {
+	if p := 2 * m.age; p > m.cfg.RetryAfter {
+		return p
+	}
+	return m.cfg.RetryAfter
 }
 
-// Tick re-issues requests that have waited longer than their retry
-// deadline, rotating through targets; requests exceeding MaxAttempts are
-// dropped. The node calls this from a coarse timer. Requests are visited
-// in a canonical order — never map order: the emits become sends, and
-// send order must be a deterministic function of the event history or
-// fixed-seed simulations of recovery scenarios stop being reproducible.
+// progressed restarts a request's silence clock on a reply.
+func (m *Manager) progressed(now time.Duration, r *Request) {
+	if a := now - r.sent; a > m.age {
+		m.age = a
+	}
+	r.progress, r.attempt = now, 0
+}
+
+// Tick re-issues requests that have been silent for longer than
+// patience to their next target; a request that has tried every target
+// without a reply is dropped — consumers that still need the data ask
+// again (execution from the orderer's missing set, pending votes from the
+// engine, voting gaps from the next live car), and a fetch nobody
+// re-issues was stale. Requests are visited in a canonical order — never
+// map order: the emits become sends, and send order must be a
+// deterministic function of the event history or fixed-seed simulations
+// of recovery scenarios stop being reproducible.
 func (m *Manager) Tick(now time.Duration) []*Emit {
 	var out []*Emit
-	for _, k := range m.sortedKeys() {
-		req := m.pending[k]
-		if now-req.lastSend >= m.retryDeadline(req) {
-			req.attempt++
-			if req.attempt >= m.cfg.MaxAttempts {
-				delete(m.pending, k)
-				continue
-			}
-			req.lastSend = now
-			out = append(out, m.emit(req))
+	patience := m.patience()
+	retry := func(r *Request) bool {
+		if now-r.progress < patience {
+			return true
+		}
+		if r.attempt++; r.attempt >= len(r.targets) {
+			return false
+		}
+		r.target++
+		out = append(out, m.send(now, r))
+		return true
+	}
+	for _, l := range m.sortedLanes() {
+		if !retry(m.streams[l]) {
+			delete(m.streams, l)
+		}
+	}
+	for _, k := range m.sortedTips() {
+		if !retry(m.tips[k]) {
+			delete(m.tips, k)
 		}
 	}
 	return out
 }
 
-// sortedKeys returns the pending-request keys in canonical (lane, to,
-// digest) order. Pending sets are tiny (a handful of ranges).
-func (m *Manager) sortedKeys() []key {
-	keys := make([]key, 0, len(m.pending))
-	for k := range m.pending {
+// sortedLanes returns the lanes with a stream in ascending order.
+func (m *Manager) sortedLanes() []types.NodeID {
+	lanes := make([]types.NodeID, 0, len(m.streams))
+	for l := range m.streams {
+		lanes = append(lanes, l)
+	}
+	sort.Slice(lanes, func(i, j int) bool { return lanes[i] < lanes[j] })
+	return lanes
+}
+
+// sortedTips returns the point-request keys in canonical (lane, pos,
+// digest) order.
+func (m *Manager) sortedTips() []key {
+	keys := make([]key, 0, len(m.tips))
+	for k := range m.tips {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool {
 		if keys[i].lane != keys[j].lane {
 			return keys[i].lane < keys[j].lane
 		}
-		if keys[i].to != keys[j].to {
-			return keys[i].to < keys[j].to
+		if keys[i].pos != keys[j].pos {
+			return keys[i].pos < keys[j].pos
 		}
 		return bytes.Compare(keys[i].dig[:], keys[j].dig[:]) < 0
 	})
 	return keys
 }
 
-// Result is a validated reply: the proposals (ascending, hash-chained,
-// ending at the anchor digest) and the satisfied request.
-type Result struct {
-	Request   Request
-	Proposals []*types.Proposal
-	// Remainder is non-nil when the responder served only the top of the
-	// range: a follow-up fetch for the lower sub-range, already tracked.
-	Remainder *Emit
-}
-
-// OnReply validates a SyncReply against its outstanding request. Invalid
-// or unsolicited replies return (nil, error). Partial replies anchored at
-// the tip are accepted; the manager re-targets the remainder.
-func (m *Manager) OnReply(now time.Duration, from types.NodeID, rep *types.SyncReply) (*Result, error) {
+// OnReply validates a SyncReply against the outstanding requests and
+// returns the follow-up request to send, if the reply calls for one (it
+// is already tracked). Invalid replies return an error; chain-valid
+// replies that advance nothing return ErrUnsolicited (the caller still
+// ingests them).
+//
+// A stream advances on a reply that contains its cursor and chains onto
+// what it delivered before. The follow-up goes out once per window — when
+// the bytes received since the last request reach ServeWindowBytes, the
+// same count at which Serve stopped, or the range that request named is
+// exhausted — not once per chunk: the responder starts a fresh window
+// from wherever a request says, so a request sent mid-window is answered
+// with everything still streaming, twice.
+func (m *Manager) OnReply(now time.Duration, from types.NodeID, rep *types.SyncReply) (*Emit, error) {
 	if len(rep.Proposals) == 0 {
 		return nil, fmt.Errorf("fetch: empty reply from %s", from)
 	}
 	if len(rep.Proposals) > m.cfg.MaxReplyProposals {
 		return nil, fmt.Errorf("fetch: oversized reply from %s", from)
 	}
-	top := rep.Proposals[len(rep.Proposals)-1]
-	low0 := rep.Proposals[0]
-	k := key{rep.Lane, top.Position, top.Digest()}
-	req, ok := m.pending[k]
-	if !ok {
-		if err := ValidateChain(rep); err != nil {
-			return nil, err
-		}
-		// A windowed reply: the server bounded its stream, so the top is
-		// mid-chain rather than the requested tip. Advance the matching
-		// outstanding request past the window and immediately chase the
-		// next one (self-clocked streaming). Canonical key order, so which
-		// request a reply matches (and hence the follow-up send) is a
-		// deterministic function of the event history.
-		for _, wk := range m.sortedKeys() {
-			wreq := m.pending[wk]
-			if wk.lane == rep.Lane && wreq.From == low0.Position && top.Position < wreq.To {
-				wreq.From = top.Position + 1
-				wreq.attempt = 0
-				wreq.lastSend = now
-				return &Result{Request: *wreq, Proposals: rep.Proposals, Remainder: m.emit(wreq)}, nil
-			}
-		}
-		// Otherwise: late reply to an abandoned or superseded request —
-		// still useful (the caller ingests idempotently).
-		return nil, ErrUnsolicited
-	}
 	if err := ValidateChain(rep); err != nil {
 		return nil, err
 	}
-	if top.Digest() != req.TipDigest {
-		return nil, fmt.Errorf("fetch: reply not anchored at requested tip")
+	low, top := rep.Proposals[0], rep.Proposals[len(rep.Proposals)-1]
+	k := key{rep.Lane, top.Position, top.Digest()}
+	if r, ok := m.tips[k]; ok {
+		m.progressed(now, r)
+		delete(m.tips, k)
+		return nil, nil
 	}
-	low := rep.Proposals[0]
-	delete(m.pending, k)
-
-	res := &Result{Request: *req, Proposals: rep.Proposals}
-	if low.Position > req.From {
-		// Lower sub-range still missing; chase it anchored at low.Parent.
-		res.Remainder = m.Start(now, req.Lane, req.From, low.Position-1, low.Parent,
-			req.targets, req.Purpose, req.Slot, req.View)
+	s, ok := m.streams[rep.Lane]
+	if !ok {
+		// Late reply to an abandoned or superseded request — still useful
+		// (the caller ingests idempotently).
+		return nil, ErrUnsolicited
 	}
-	return res, nil
+	var next *Emit
+	switch {
+	case low.Position <= s.From && s.From <= top.Position:
+		if at := rep.Proposals[s.From-low.Position]; !s.below.IsZero() && at.Parent != s.below {
+			return nil, ErrUnsolicited // another fork's chain: no progress
+		}
+		s.From, s.below = top.Position+1, top.Digest()
+		for _, p := range rep.Proposals {
+			s.got += p.WireSize()
+		}
+		m.progressed(now, s)
+		switch {
+		case s.From > s.To:
+			delete(m.streams, rep.Lane) // complete
+		case s.got >= ServeWindowBytes || s.From > s.asked:
+			next = m.send(now, s) // the window has been served
+		}
+	case top.Position == s.To && top.Digest() == s.TipDigest:
+		// Anchored at the tip but starting above the cursor: the responder
+		// holds only the top of the range (it truncated its history). Keep
+		// the lower part wanted and ask the next target for it.
+		s.To, s.TipDigest = low.Position-1, low.Parent
+		m.progressed(now, s)
+		s.target++
+		next = m.send(now, s)
+	default:
+		return nil, ErrUnsolicited
+	}
+	return next, nil
 }
 
-// ErrUnsolicited marks a chain-valid reply with no matching outstanding
+// ErrUnsolicited marks a chain-valid reply that advances no outstanding
 // request; callers should still ingest its proposals.
 var ErrUnsolicited = errors.New("fetch: unsolicited (but chain-valid) reply")
 
@@ -316,66 +445,51 @@ func ValidateChain(rep *types.SyncReply) error {
 	return nil
 }
 
-// HasPending reports whether any fetch with the given purpose is
-// outstanding for the lane (used to avoid overlapping catch-up ranges).
-func (m *Manager) HasPending(lane types.NodeID, p Purpose) bool {
-	for _, req := range m.pending {
-		if req.Lane == lane && req.Purpose == p {
-			return true
-		}
+// Settle drops the lane's point requests whose proposal has arrived by
+// another path (live broadcast, a stream): held reads the store.
+func (m *Manager) Settle(lane types.NodeID, held func(types.NodeID, types.Pos, types.Digest) bool) {
+	if len(m.tips) == 0 {
+		return // the common case, on the live path of every car
 	}
-	return false
-}
-
-// Cancel drops outstanding fetches for a lane at or below pos (e.g. after
-// the data arrived through live dissemination instead).
-func (m *Manager) Cancel(lane types.NodeID, pos types.Pos) {
-	for k := range m.pending {
-		if k.lane == lane && k.to <= pos {
-			delete(m.pending, k)
+	for _, k := range m.sortedTips() {
+		if k.lane == lane && held(k.lane, k.pos, k.dig) {
+			delete(m.tips, k)
 		}
 	}
 }
 
 // Rebase drops the lane's fetches wholly at or below pos and raises the
-// lower bound of fetches spanning it. After a snapshot install, history
-// at or below the frontier is moot (and, against truncating peers,
-// unservable), but a spanning request's upper remainder is still wanted
-// — typically the very positions that gate the first post-install
-// execution. Shrinking it releases outstanding-position budget for new
-// fetches and re-issues it immediately, rather than letting a request
-// sized for a genesis-deep span sit out a streaming deadline computed
-// for hundreds of positions. Keys are visited in canonical order so the
-// re-issued sends stay a deterministic function of the event history.
+// cursor of a stream spanning it. After a snapshot install, history at or
+// below the frontier is moot (and, against truncating peers, unservable),
+// but a spanning stream's upper remainder is still wanted — typically the
+// very positions that gate the first post-install execution. Shrinking it
+// releases outstanding-position budget for new fetches and re-issues it
+// immediately.
 func (m *Manager) Rebase(now time.Duration, lane types.NodeID, pos types.Pos) []*Emit {
-	var out []*Emit
-	for _, k := range m.sortedKeys() {
-		if k.lane != lane {
-			continue
-		}
-		if k.to <= pos {
-			delete(m.pending, k)
-			continue
-		}
-		if req := m.pending[k]; req.From <= pos {
-			req.From = pos + 1
-			req.lastSend = now
-			out = append(out, m.emit(req))
-		}
+	m.dropTips(lane, 0, pos)
+	s, ok := m.streams[lane]
+	if !ok || s.From > pos {
+		return nil
 	}
-	return out
+	if s.To <= pos {
+		delete(m.streams, lane)
+		return nil
+	}
+	s.From, s.below = pos+1, types.Digest{}
+	return []*Emit{m.send(now, s)}
 }
 
-// ServeChunkBytes bounds one reply message's payload; ServeWindowBytes
-// bounds the total served per request. Large histories are streamed as
-// chunked replies in FIFO (oldest-first) order (§A.3.2: history "can be
-// staggered, and sent in FIFO order at the bandwidth the network allows"
-// — the requester orders and executes position s before s+1 arrives).
-// The requester's manager advances the outstanding request past each
-// received window and immediately asks for the next, so a deep catch-up
-// self-clocks against the requester's ingest capacity: without the window
-// bound, one request would dump the entire backlog and every retry would
-// dump it again — congestion collapse at a recovering replica.
+// ServeChunkBytes bounds one reply message's payload; ServeWindowBytes is
+// how much one request is served. Large histories are streamed as chunked
+// replies in FIFO (oldest-first) order (§A.3.2: history "can be staggered,
+// and sent in FIFO order at the bandwidth the network allows" — the
+// requester orders and executes position s before s+1 arrives). A window
+// ends with the proposal that takes it to ServeWindowBytes; the requester
+// counts the same bytes and asks for the next window when it has them
+// all, so a deep catch-up self-clocks against the requester's ingest
+// capacity: without the window bound, one request would dump the entire
+// backlog and every retry would dump it again — congestion collapse at a
+// recovering replica.
 const (
 	ServeChunkBytes  = 8 << 20
 	ServeWindowBytes = 32 << 20
@@ -392,35 +506,33 @@ func Serve(store interface {
 	if len(props) == 0 {
 		return nil
 	}
-	// Trim to the oldest window.
-	total := 0
-	for i, p := range props {
-		total += p.WireSize()
-		if total > ServeWindowBytes && i > 0 {
-			props = props[:i]
-			complete = false
-			break
-		}
-	}
+	// Chunk the oldest window.
 	var out []*types.SyncReply
-	start, size := 0, 0
+	start, size, total := 0, 0, 0
 	for i, p := range props {
 		size += p.WireSize()
-		if size >= ServeChunkBytes && i+1 < len(props) {
-			out = append(out, &types.SyncReply{Lane: req.Lane, Proposals: props[start : i+1], Complete: false})
+		total += p.WireSize()
+		last, window := i+1 == len(props), total >= ServeWindowBytes
+		if last || window || size >= ServeChunkBytes {
+			out = append(out, &types.SyncReply{Lane: req.Lane, Proposals: props[start : i+1], Complete: complete && last})
+			if window {
+				break
+			}
 			start, size = i+1, 0
 		}
 	}
-	out = append(out, &types.SyncReply{Lane: req.Lane, Proposals: props[start:], Complete: complete})
 	return out
 }
 
-// Pending returns snapshots of outstanding requests in canonical key
-// order (tests).
+// Pending returns snapshots of outstanding requests — streams by lane,
+// then point requests in key order (tests).
 func (m *Manager) Pending() []Request {
-	out := make([]Request, 0, len(m.pending))
-	for _, k := range m.sortedKeys() {
-		out = append(out, *m.pending[k])
+	out := make([]Request, 0, m.Outstanding())
+	for _, l := range m.sortedLanes() {
+		out = append(out, *m.streams[l])
+	}
+	for _, k := range m.sortedTips() {
+		out = append(out, *m.tips[k])
 	}
 	return out
 }

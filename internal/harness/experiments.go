@@ -273,11 +273,19 @@ type BlipResult struct {
 	Baseline time.Duration
 	// BlipEnd estimates when commits resumed (end of the blip proper).
 	BlipEnd time.Duration
-	// Hangover is how long past BlipEnd latency stayed above 2x baseline
-	// (meaningful degradation; a recovering replica digesting its data
-	// backlog costs the fast path ~2 message delays for a while, which is
-	// not a backlog hangover in the paper's sense).
+	// Hangover is how long past BlipEnd per-second mean latency stayed
+	// above 2x baseline: a request backlog being worked off, the paper's
+	// hangover (§2.1).
 	Hangover time.Duration
+	// Plateau is how long past BlipEnd per-second mean latency stayed
+	// above 1.25x baseline. A recovering replica that is still ingesting
+	// what it missed cannot vote on fresh tips in time, so every slot it
+	// does not lead loses the fast path (+1 WAN round + FastPathWait):
+	// well under 2x, invisible to Hangover, and over only when the
+	// replica has caught up. With single-copy catch-up (DESIGN.md §1.14)
+	// that takes missed bytes / ingest headroom; before it, the plateau
+	// ran to the end of the load.
+	Plateau time.Duration
 	// PeakLat is the worst per-second latency during/after the blip.
 	PeakLat time.Duration
 	Series  []metrics.SeriesPoint
@@ -376,6 +384,7 @@ func runBlipWith(cfg BlipConfig, faults *sim.FaultSchedule) BlipResult {
 		Baseline:  baseline,
 		BlipEnd:   blipEnd,
 		Hangover:  rec.Hangover(blipEnd, baseline, 2.0),
+		Plateau:   rec.Hangover(blipEnd, baseline, 1.25),
 		Series:    rec.ArrivalSeries(),
 		Total:     rec.Total(),
 	}
@@ -415,9 +424,9 @@ func commitResumeTime(rec *metrics.Recorder, faultStart time.Duration) time.Dura
 // PrintBlip renders a blip run: header plus the per-second series the
 // paper plots (latency by request start time).
 func PrintBlip(w io.Writer, r BlipResult, maxSec int) {
-	fmt.Fprintf(w, "%s @ %.0f tx/s: fault [%.0fs,%.0fs) baseline=%.0fms peak=%.1fs resume=%.0fs hangover=%.1fs total=%d\n",
+	fmt.Fprintf(w, "%s @ %.0f tx/s: fault [%.0fs,%.0fs) baseline=%.0fms peak=%.1fs resume=%.0fs hangover=%.1fs plateau=%.1fs total=%d\n",
 		r.System, r.Load, r.FaultFrom.Seconds(), r.FaultTo.Seconds(),
-		ms(r.Baseline), r.PeakLat.Seconds(), r.BlipEnd.Seconds(), r.Hangover.Seconds(), r.Total)
+		ms(r.Baseline), r.PeakLat.Seconds(), r.BlipEnd.Seconds(), r.Hangover.Seconds(), r.Plateau.Seconds(), r.Total)
 	for _, p := range r.Series {
 		if p.Second > maxSec {
 			break

@@ -110,6 +110,34 @@ func (s *Store) ChainSuffix(lane types.NodeID, from, to types.Pos, tipDigest typ
 	return out, true
 }
 
+// ChainTop walks the lane's chain upward from the proposal identified by
+// (pos, digest) — position 0 is genesis — and returns the highest position
+// reached: the top of what the store holds contiguously above it. A step
+// is taken only when exactly one stored proposal at the next position
+// names the current digest as its parent; positions alone prove nothing
+// (a Byzantine lane may have forked), and at a visible fork either
+// sibling may be the one the chain continues through, so the walk stops
+// beneath it.
+func (s *Store) ChainTop(lane types.NodeID, pos types.Pos, digest types.Digest) types.Pos {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for {
+		var next *types.Proposal
+		links := 0
+		//lint:allow detrange next is read only when exactly one child links, whatever the order
+		for _, p := range s.lanes[lane][pos+1] {
+			if p.Parent == digest {
+				next = p
+				links++
+			}
+		}
+		if links != 1 {
+			return pos
+		}
+		pos, digest = next.Position, next.Digest()
+	}
+}
+
 // GCBelow drops all proposals of `lane` at positions < keep. Committed
 // prefixes are garbage collected after ordering; fork siblings below the
 // committed frontier disappear here (§A.4).

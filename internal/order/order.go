@@ -21,6 +21,10 @@ type DataSource interface {
 	// parent links back from (to, tipDigest); ok is false if incomplete,
 	// in which case the returned slice covers the top of the range only.
 	ChainSuffix(lane types.NodeID, from, to types.Pos, tipDigest types.Digest) ([]*types.Proposal, bool)
+	// ChainTop returns the highest position held contiguously above
+	// (pos, digest), following parent links upward and stopping beneath a
+	// fork.
+	ChainTop(lane types.NodeID, pos types.Pos, digest types.Digest) types.Pos
 }
 
 // Entry is one totally-ordered data proposal.
@@ -135,25 +139,7 @@ func (o *Orderer) executeSlot(s types.Slot, prop *types.ConsensusProposal) ([]En
 		from := last + 1
 		props, complete := o.src.ChainSuffix(tip.Lane, from, tip.Position, tip.Digest)
 		if !complete {
-			// Determine the exact missing sub-range: the suffix returned
-			// covers [to-len+1, to]; everything below is absent.
-			haveFrom := tip.Position + 1
-			var anchor types.Digest
-			if len(props) > 0 {
-				haveFrom = props[0].Position
-				anchor = props[0].Parent
-			} else {
-				anchor = tip.Digest
-			}
-			m := Missing{
-				Lane: tip.Lane, From: from, To: haveFrom - 1,
-				TipDigest: anchor, Tip: tip, Slot: s,
-			}
-			if len(props) == 0 {
-				m.To = tip.Position
-				m.TipDigest = tip.Digest
-			}
-			missing = append(missing, m)
+			missing = append(missing, o.missingBelow(tip, s, props))
 			continue
 		}
 		chains = append(chains, laneChain{lane: tip.Lane, props: props})
@@ -199,6 +185,30 @@ func (o *Orderer) executeSlot(s types.Slot, prop *types.ConsensusProposal) ([]En
 	return entries, nil
 }
 
+// missingBelow describes what a committed tip still lacks, given the top
+// of its chain that the store holds (held, from ChainSuffix): the range
+// runs from the lowest absent position up to just below held, anchored at
+// held's parent link (at the tip itself when nothing is held).
+//
+// The lowest absent position is read from the store — a walk up from the
+// committed frontier — not assumed to be frontier+1: a recovering replica
+// usually holds the bottom of the range, and asking for it again is a
+// second copy across its ingest path. The walk cannot tell a fork sibling
+// from its committed twin, so it may run past a position whose twin is
+// absent; it then ends above the range's top, which only a fork explains,
+// and the whole range from the frontier is reported instead.
+func (o *Orderer) missingBelow(tip types.TipRef, s types.Slot, held []*types.Proposal) Missing {
+	m := Missing{Lane: tip.Lane, To: tip.Position, TipDigest: tip.Digest, Tip: tip, Slot: s}
+	if len(held) > 0 {
+		m.To, m.TipDigest = held[0].Position-1, held[0].Parent
+	}
+	last := o.lastCommit[tip.Lane]
+	if m.From = o.src.ChainTop(tip.Lane, last, o.lastDigest[tip.Lane]) + 1; m.From > m.To {
+		m.From = last + 1
+	}
+	return m
+}
+
 // CatchupRanges coalesces the data still needed across ALL decided-but-
 // unexecuted slots into at most one range per lane, anchored at the
 // highest committed tip (§5.2.2: a tip transitively references its whole
@@ -237,19 +247,11 @@ func (o *Orderer) CatchupRanges() []Missing {
 		if !ok {
 			continue
 		}
-		from := o.lastCommit[l] + 1
-		props, complete := o.src.ChainSuffix(l, from, b.tip.Position, b.tip.Digest)
+		props, complete := o.src.ChainSuffix(l, o.lastCommit[l]+1, b.tip.Position, b.tip.Digest)
 		if complete {
 			continue // locally present: nothing to fetch for this lane
 		}
-		// The store holds the top of the range; only the part below the
-		// lowest held proposal is missing.
-		m := Missing{Lane: l, From: from, To: b.tip.Position, TipDigest: b.tip.Digest, Tip: b.tip, Slot: b.slot}
-		if len(props) > 0 {
-			m.To = props[0].Position - 1
-			m.TipDigest = props[0].Parent
-		}
-		out = append(out, m)
+		out = append(out, o.missingBelow(b.tip, b.slot, props))
 	}
 	return out
 }

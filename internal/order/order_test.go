@@ -218,3 +218,69 @@ func TestDecisionOrderIndependence(t *testing.T) {
 		}
 	}
 }
+
+// TestMissingStartsAtLowestAbsent: the range a blocked slot (and the
+// coalesced catch-up) reports starts at the lowest position the store
+// does not hold above the committed frontier — read by walking parent
+// links up from the frontier digest, never from positions alone — and
+// ends beneath whatever of the tip's chain is held from the top.
+func TestMissingStartsAtLowestAbsent(t *testing.T) {
+	const lane1, frontier, tipPos = types.NodeID(1), 2, 10
+	full, tips := buildLanes(2, tipPos)
+	chain, _ := full.ChainSuffix(lane1, 1, tipPos, tips[lane1].Digest)
+	at := func(pos int) *types.Proposal { return chain[pos-1] }
+	// sibling forks the lane at pos: same parent, different batch.
+	sibling := func(pos int) *types.Proposal {
+		return &types.Proposal{
+			Lane: lane1, Position: types.Pos(pos), Parent: at(pos).Parent,
+			Batch: types.NewSyntheticBatch(lane1, uint64(1000+pos), 10, 5120, 0, 0),
+		}
+	}
+	cases := []struct {
+		name     string
+		held     []*types.Proposal
+		from, to types.Pos
+	}{
+		{"nothing held", nil, 3, 10},
+		{"bottom held", []*types.Proposal{at(3), at(4), at(5)}, 6, 10},
+		{"bottom and top held", []*types.Proposal{at(3), at(4), at(9), at(10)}, 5, 8},
+		{"held above a hole only", []*types.Proposal{at(5), at(6)}, 3, 10},
+		// A car exists at position 6, but it is not the chain's: counting
+		// positions would start the range at 7 and never fetch the real 6.
+		{"fork visible at the boundary", []*types.Proposal{at(3), at(4), at(5), at(6), sibling(6)}, 6, 10},
+		// Only the sibling is held: the walk cannot tell it from its twin
+		// and runs past the hole. Once the top has arrived the range ends
+		// beneath the walk's start, which only a fork explains: the whole
+		// range from the frontier is reported.
+		{"lone sibling, top arrived", []*types.Proposal{at(3), at(4), sibling(5), at(6), at(7), at(8), at(9), at(10)}, 3, 5},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			store := lane.NewStore()
+			for l0, _ := full.ChainSuffix(0, 1, tipPos, tips[0].Digest); len(l0) > 0; l0 = l0[1:] {
+				store.Put(l0[0])
+			}
+			for _, p := range tc.held {
+				store.Put(p)
+			}
+			o := NewOrderer(types.NewCommittee(2), store)
+			o.Restore(5, []types.Pos{frontier, frontier}, []types.Digest{
+				cutAt(tips, []types.Pos{frontier, frontier}, full).Tips[0].Digest, at(frontier).Digest(),
+			})
+			o.AddDecision(5, &types.ConsensusProposal{Slot: 5, Cut: cutAt(tips, []types.Pos{tipPos, tipPos}, full)})
+			_, missing, executed := o.TryExecute()
+			if len(executed) != 0 || len(missing) != 1 {
+				t.Fatalf("missing=%+v executed=%v, want one missing range", missing, executed)
+			}
+			for _, got := range [][]Missing{missing, o.CatchupRanges()} {
+				m := got[0]
+				if len(got) != 1 || m.Lane != lane1 || m.From != tc.from || m.To != tc.to {
+					t.Fatalf("range = %+v, want lane 1 [%d,%d]", got, tc.from, tc.to)
+				}
+				if want := at(int(tc.to)).Digest(); m.TipDigest != want {
+					t.Fatalf("range anchored at %s, want the chain's digest at %d", m.TipDigest, tc.to)
+				}
+			}
+		})
+	}
+}
