@@ -166,8 +166,10 @@ func main() {
 				gw = fmt.Sprintf("; gateway %d admitted/%d rejected/%d deduped, %d acked (mean %s), %d ack-drops",
 					s.Admitted, s.Rejected(), s.Deduped, s.Acked, s.AckLatencyMean.Round(time.Microsecond), s.AckDrops)
 			}
-			logger.Printf("committed %d txs in %d batches (slot %d); egress ctl %d frames/%d flushes (%d delta), data %d frames/%d flushes, %d drops; ingress %d ctl/%d shard events, %d drops; gossip %d origin/%d relayed/%d dup-dropped; links %d dials/%d redials/%d stalls; sync %d requests (%d retries), %d B received, %d B redundant%s",
+			starts := replica.Node().Engine().StartCounts()
+			logger.Printf("committed %d txs in %d batches (slot %d); starts %d covered/%d lowered/%d backstop; egress ctl %d frames/%d flushes (%d delta), data %d frames/%d flushes, %d drops; ingress %d ctl/%d shard events, %d drops; gossip %d origin/%d relayed/%d dup-dropped; links %d dials/%d redials/%d stalls; sync %d requests (%d retries), %d B received, %d B redundant%s",
 				committedTx, committedBatches, c.Slot,
+				starts.Covered, starts.Lowered, starts.Backstop,
 				egress.Control.Frames, egress.Control.Flushes, egress.Control.DeltaFrames,
 				egress.Data.Frames, egress.Data.Flushes,
 				egress.Control.Drops+egress.Data.Drops,

@@ -12,6 +12,7 @@ package consensus
 
 import (
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/types"
@@ -247,6 +248,10 @@ type Engine struct {
 	// committed tip positions of the most recent decided slot, used as a
 	// coverage fallback base.
 	lastCommitPos []types.Pos
+
+	// View-0 proposals by start cause (see StartCounts); atomic because
+	// operators poll them from outside the event loop.
+	startsCovered, startsLowered, startsBackstop atomic.Uint64
 }
 
 // NewEngine builds a consensus engine.
@@ -377,6 +382,25 @@ func (e *Engine) Frontier() types.Slot { return e.frontier }
 // slot's commit certificate never arrived" however wide the gap is.
 func (e *Engine) MaxDecided() types.Slot { return e.maxDecided }
 
+// StartCounts tallies this replica's view-0 proposals by what let the
+// slot start: Covered met the configured Coverage threshold, Lowered met
+// a threshold that idle lanes had lowered (coverageNeed), Backstop was
+// released by the CoverageDelay timer with neither met. A backstop share
+// near 1 under load means every slot waits out the timer: the threshold
+// does not fit the load.
+type StartCounts struct {
+	Covered, Lowered, Backstop uint64
+}
+
+// StartCounts returns the start-cause tallies; safe from any goroutine.
+func (e *Engine) StartCounts() StartCounts {
+	return StartCounts{
+		Covered:  e.startsCovered.Load(),
+		Lowered:  e.startsLowered.Load(),
+		Backstop: e.startsBackstop.Load(),
+	}
+}
+
 // Restore re-marks this replica's pre-crash consensus votes from a
 // journal snapshot so the restarted replica can never contradict them:
 // views with a journaled PrepVote or ConfirmAck are treated as already
@@ -443,19 +467,20 @@ func (e *Engine) evalStart(s types.Slot) {
 	if st.decided || !st.sawParentPrepare {
 		return
 	}
-	_, ticketOK := e.ticketFor(s)
-	if e.cfg.Committee.Leader(s, 0) == e.cfg.Self && !st.proposed {
-		e.trace("t=%v %s evalStart s=%d ticket=%v covered=%v relaxed=%v", e.env.Now(), e.cfg.Self, s, ticketOK, e.coverageMet(st), st.coverageRelaxed)
-	}
-	if !ticketOK {
+	if _, ticketOK := e.ticketFor(s); !ticketOK {
 		return
 	}
-	covered := e.coverageMet(st)
-	if !covered && !st.coverageTimerSet {
-		st.coverageTimerSet = true
-		e.env.SetTimer(Timer{Kind: TimerCoverage, Slot: s, Delay: e.cfg.CoverageDelay})
+	newTips := e.provider.NewTipCount(e.coverageBase(st))
+	need := e.coverageNeed(st)
+	covered := newTips >= need
+	if e.cfg.Trace != nil && e.cfg.Committee.Leader(s, 0) == e.cfg.Self && !st.proposed {
+		e.trace("t=%v %s evalStart s=%d tips=%d need=%d relaxed=%v", e.env.Now(), e.cfg.Self, s, newTips, need, st.coverageRelaxed)
 	}
-	if !covered {
+	if !covered && !(st.coverageRelaxed && newTips >= 1) {
+		if !st.coverageTimerSet {
+			st.coverageTimerSet = true
+			e.env.SetTimer(Timer{Kind: TimerCoverage, Slot: s, Delay: e.cfg.CoverageDelay})
+		}
 		return
 	}
 	// Arm the view-0 progress timer (all replicas).
@@ -464,30 +489,65 @@ func (e *Engine) evalStart(s types.Slot) {
 		e.env.SetTimer(Timer{Kind: TimerView, Slot: s, View: 0, Delay: e.viewTimeout(0)})
 	}
 	// Propose if we lead view 0.
-	if st.view == 0 && !st.proposed && e.cfg.Committee.Leader(s, 0) == e.cfg.Self {
-		e.propose(st)
+	if st.view == 0 && !st.proposed && e.cfg.Committee.Leader(s, 0) == e.cfg.Self && e.propose(st) {
+		switch {
+		case !covered:
+			e.startsBackstop.Add(1)
+		case need < e.cfg.Coverage:
+			e.startsLowered.Add(1)
+		default:
+			e.startsCovered.Add(1)
+		}
 	}
 }
 
-func (e *Engine) coverageMet(st *slotState) bool {
-	base := e.coverageBase(st)
-	newTips := e.provider.NewTipCount(base)
-	if st.coverageRelaxed {
-		return newTips >= 1
+// coverageNeed is how many lanes must show a tip beyond the coverage base
+// before slot st starts without waiting for the CoverageDelay backstop:
+// min(Coverage, A), floor 1, where A counts the lanes that advanced inside
+// the slot's parallel window — from the cut committed at s-k (the slot's
+// own ticket, so it is always known here) to the parent's cut. A lane that
+// did not move across those k-1 cuts is idle, and waiting for it can only
+// end in the backstop (DESIGN.md §1.15). A tip at or below the ticket's is
+// stale, not an advance. The genesis window, a slot whose parent cut was
+// never observed and k < 3 keep the configured threshold: a window of one
+// cut cannot climb back once a single relaxed slot has lowered it.
+func (e *Engine) coverageNeed(st *slotState) int {
+	need := e.cfg.Coverage
+	k := types.Slot(e.cfg.MaxParallel)
+	if k < 3 || st.slot <= k || st.parentCutPos == nil {
+		return need
 	}
-	return newTips >= e.cfg.Coverage
+	ticket, ok := e.slots[st.slot-k]
+	if !ok || ticket.committed == nil {
+		return need
+	}
+	active := 0
+	for i, t := range ticket.committed.Cut.Tips {
+		if i < len(st.parentCutPos) && st.parentCutPos[i] > t.Position {
+			active++
+		}
+	}
+	if active < need {
+		need = active
+	}
+	if need < 1 {
+		need = 1
+	}
+	return need
 }
 
-func (e *Engine) propose(st *slotState) {
+// propose broadcasts this replica's view-0 proposal for st; false when
+// pacing deferred it (a timer retries).
+func (e *Engine) propose(st *slotState) bool {
 	now := e.env.Now()
 	if now < e.lastPropose+e.cfg.MinProposalGap {
 		// Pace proposals: retry when the gap elapses.
 		e.env.SetTimer(Timer{Kind: TimerCoverage, Slot: st.slot, Delay: e.lastPropose + e.cfg.MinProposalGap - now})
-		return
+		return false
 	}
 	ticket, ok := e.ticketFor(st.slot)
 	if !ok {
-		return
+		return false
 	}
 	cut := e.provider.AssembleCut(e.cfg.OptimisticTips)
 	prop := types.ConsensusProposal{Slot: st.slot, View: 0, Cut: cut}
@@ -499,6 +559,7 @@ func (e *Engine) propose(st *slotState) {
 	e.lastPropose = now
 	e.env.Broadcast(prep)
 	e.processPrepare(e.cfg.Self, prep) // leader self-processes (stores + votes)
+	return true
 }
 
 // OnTipsAdvanced re-evaluates start conditions when the lane layer gains

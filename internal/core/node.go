@@ -219,8 +219,11 @@ type Node struct {
 	snapState []byte
 
 	// State-sync client (one sync in flight at most): pacing/rotation in
-	// the tracker, manifest and chunk assembly here.
+	// the tracker, manifest and chunk assembly here. noticeFrom is the peer
+	// whose commit notice arrived last (self until one has): it is ahead of
+	// this replica or level with it, so it is whom to ask for state.
 	snapSync   fetch.SnapTracker
+	noticeFrom types.NodeID
 	syncMan    *exec.Manifest
 	syncChunks [][]byte
 	syncGot    int
@@ -339,6 +342,7 @@ func NewNode(cfg Config) *Node {
 		signer:        cfg.Suite.Signer(cfg.Self),
 		verifier:      cfg.Suite.Verifier(),
 		recentNotices: make(map[types.Slot]*types.CommitNotice),
+		noticeFrom:    cfg.Self,
 	}
 	if cfg.VerifySigs {
 		if cfg.SequentialVerify {
@@ -349,6 +353,7 @@ func NewNode(cfg Config) *Node {
 		} else {
 			n.vcache = crypto.NewVerifyCache(n.verifier, 0)
 			n.verifier = n.vcache
+			n.signer = n.vcache.Signer(n.signer)
 		}
 	}
 	n.lanePV = lane.PreVerifier{Committee: cfg.Committee, Verifier: n.verifier}
@@ -639,7 +644,8 @@ func (n *Node) OnTimer(ctx runtime.Context, tag runtime.TimerTag) {
 		n.engine.OnTimer(consensus.Timer{Kind: consensus.TimerCoverage, Slot: types.Slot(tag.A)})
 	case tagFetchTick:
 		n.pumpTipFetches(ctx)
-		for _, em := range n.fetcher.Tick(ctx.Now()) {
+		emits, exhausted := n.fetcher.Tick(ctx.Now())
+		for _, em := range emits {
 			n.stats.SyncRetries.Add(1)
 			n.request(ctx, em)
 		}
@@ -649,6 +655,7 @@ func (n *Node) OnTimer(ctx runtime.Context, tag runtime.TimerTag) {
 			n.drainExecution(ctx)
 		}
 		n.retryMissingDecision(ctx)
+		n.stateSyncIfUnservable(ctx, exhausted)
 		n.tickStateSync(ctx)
 		ctx.SetTimer(n.cfg.FetchTick, runtime.TimerTag{Kind: tagFetchTick})
 	case tagCarRetx:
@@ -936,6 +943,7 @@ func (n *Node) handleCommitNotice(ctx runtime.Context, from types.NodeID, m *typ
 	already := n.engine.Decided(m.QC.Slot)
 	n.engine.OnCommitNotice(from, m)
 	if !already && n.engine.Decided(m.QC.Slot) {
+		n.noticeFrom = from
 		// Newly learned commit: if slots below are missing, catch up from
 		// the sender (it must have decided them or hold their notices).
 		if next := n.orderer.NextExec(); m.QC.Slot > next {
@@ -1218,17 +1226,20 @@ func (c *cutProvider) AssembleCut(optimistic bool) types.Cut {
 	return nd.lanes.AssembleCutFunc(c.optimisticFor(true))
 }
 
-// optimisticFor returns the per-lane optimism predicate (§B.1 reputation
-// downgrades individual lanes to certified tips).
+// optimisticFor returns the per-lane optimism predicate.
 func (c *cutProvider) optimisticFor(optimistic bool) func(types.NodeID) bool {
-	nd := c.node()
 	if !optimistic {
 		return func(types.NodeID) bool { return false }
 	}
-	if !nd.cfg.Reputation {
-		return func(types.NodeID) bool { return true }
-	}
-	return func(l types.NodeID) bool { return nd.reputation[l] > repOptimisticMin }
+	return c.optimistic
+}
+
+// optimistic reports whether lane l's uncertified tip may ride in this
+// replica's cuts (§B.1 reputation downgrades individual lanes to
+// certified tips).
+func (c *cutProvider) optimistic(l types.NodeID) bool {
+	nd := c.node()
+	return nd.cfg.OptimisticTips && (!nd.cfg.Reputation || nd.reputation[l] > repOptimisticMin)
 }
 
 func (c *cutProvider) HasTipData(t types.TipRef) bool {
@@ -1250,15 +1261,28 @@ func (c *cutProvider) ValidateCut(cut types.Cut, leader types.NodeID) error {
 	return nil
 }
 
+// NewTipCount counts, lane by lane, the tips a cut assembled now would
+// carry beyond base. Every start evaluation calls it — several per car —
+// so it reads the tips in place instead of assembling a cut to count.
 func (c *cutProvider) NewTipCount(base []types.Pos) int {
 	nd := c.node()
-	var cut types.Cut
-	if nd.sharded {
-		cut = nd.tips.assemble(nd.cfg.Self, c.optimisticFor(nd.cfg.OptimisticTips))
-	} else {
-		cut = nd.lanes.AssembleCut(nd.cfg.OptimisticTips)
+	if n := nd.cfg.Committee.Size(); len(base) > n {
+		base = base[:n]
 	}
-	return cut.NewTipsVersus(base)
+	count := 0
+	for i, b := range base {
+		l := types.NodeID(i)
+		var tip types.TipRef
+		if nd.sharded {
+			tip = nd.tips.cutTip(nd.cfg.Self, l, c.optimistic(l))
+		} else {
+			tip = nd.lanes.CutTip(l, nd.cfg.OptimisticTips)
+		}
+		if tip.Position > b {
+			count++
+		}
+	}
+	return count
 }
 
 func (c *cutProvider) NextExec() types.Slot { return c.node().orderer.NextExec() }

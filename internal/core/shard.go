@@ -146,26 +146,26 @@ func (t *tipTable) assemble(self types.NodeID, optimisticFor func(types.NodeID) 
 	tips := make([]types.TipRef, len(t.cert))
 	for i := range tips {
 		l := types.NodeID(i)
-		switch {
-		case l == self:
-			// Leader-tip rule (§5.5.2): the own lane may be referenced
-			// uncertified — the proposer only hurts itself by lying.
-			if t.ownTip.Position > t.ownCert.Position {
-				tips[i] = t.ownTip
-			} else {
-				tips[i] = t.ownCert
-			}
-		case optimisticFor(l):
-			if t.opt[i].Position > t.cert[i].Position {
-				tips[i] = t.opt[i]
-			} else {
-				tips[i] = t.cert[i]
-			}
-		default:
-			tips[i] = t.cert[i]
-		}
+		tips[i] = t.cutTip(self, l, l != self && optimisticFor(l))
 	}
 	return types.Cut{Tips: tips}
+}
+
+// cutTip mirrors lane.State.CutTip over the snapshot.
+func (t *tipTable) cutTip(self, l types.NodeID, optimistic bool) types.TipRef {
+	switch {
+	case l == self:
+		// Leader-tip rule (§5.5.2): the own lane may be referenced
+		// uncertified — the proposer only hurts itself by lying.
+		if t.ownTip.Position > t.ownCert.Position {
+			return t.ownTip
+		}
+		return t.ownCert
+	case optimistic && t.opt[l].Position > t.cert[l].Position:
+		return t.opt[l]
+	default:
+		return t.cert[l]
+	}
 }
 
 // --- per-shard worker state ---

@@ -4,10 +4,11 @@
 // and lane stores beneath the checkpoint's frontier — bounding on-disk
 // growth — and serves the latest snapshot to peers. A replica that
 // discovers it is hopelessly behind (a commit notice at least two
-// snapshot intervals above its own frontier) joins in O(state) instead
-// of O(history): fetch the manifest, fetch and verify each chunk, verify
-// the assembled state hash, install, and resume ordered replay from the
-// snapshot frontier.
+// snapshot intervals above its own frontier), or that nobody can serve
+// it the history it needs any more (stateSyncIfUnservable), joins in
+// O(state) instead of O(history): fetch the manifest, fetch and verify
+// each chunk, verify the assembled state hash, install, and resume
+// ordered replay from the snapshot frontier.
 package core
 
 import (
@@ -124,8 +125,34 @@ func (n *Node) maybeStateSync(ctx runtime.Context, from types.NodeID, decided ty
 	if decided < n.orderer.NextExec()+2*n.cfg.SnapshotEvery {
 		return
 	}
-	if n.snapSync.Begin(ctx.Now(), from) {
-		ctx.Send(from, &types.SnapshotRequest{Requester: n.cfg.Self})
+	n.beginStateSync(ctx, from)
+}
+
+// stateSyncIfUnservable is where history sync hands over to state sync,
+// so the two tile whatever the distance: a catch-up stream that execution
+// is blocked on was dropped because every replica that should hold the
+// range stayed silent on it (exhausted, from fetch.Manager.Tick). That is
+// how history beneath the peers' truncation line looks from here — a
+// replica that stopped a few slots before a snapshot boundary finds it so
+// on its return, a view timeout's worth of cars (more than snapGCMargin)
+// having been committed in those few slots — and asking again would never
+// end. The distance rule above stays as the early path: it spares a
+// replica that is far behind the silent rotation.
+func (n *Node) stateSyncIfUnservable(ctx runtime.Context, exhausted []types.NodeID) {
+	if n.machine == nil || n.cfg.SnapshotEvery == 0 || n.snapSync.Active() || n.noticeFrom == n.cfg.Self {
+		return
+	}
+	for _, l := range exhausted {
+		if n.orderer.BlockedOn(l) {
+			n.beginStateSync(ctx, n.noticeFrom)
+			return
+		}
+	}
+}
+
+func (n *Node) beginStateSync(ctx runtime.Context, target types.NodeID) {
+	if n.snapSync.Begin(ctx.Now(), target) {
+		ctx.Send(target, &types.SnapshotRequest{Requester: n.cfg.Self})
 	}
 }
 

@@ -125,6 +125,10 @@ func (c *VerifyCache) Verify(signer types.NodeID, msg, sig []byte) bool {
 
 func (c *VerifyCache) insert(k memoKey) {
 	c.misses.Add(1)
+	c.remember(k)
+}
+
+func (c *VerifyCache) remember(k memoKey) {
 	c.mu.Lock()
 	if len(c.young) >= c.capacity {
 		c.old = c.young
@@ -132,6 +136,25 @@ func (c *VerifyCache) insert(k memoKey) {
 	}
 	c.young[k] = struct{}{}
 	c.mu.Unlock()
+}
+
+// Signer wraps a replica's own signer so that every signature it produces
+// enters the memo as it is made: a replica's own vote comes back to it in
+// every certificate that aggregates it (PoA, PrepareQC, CommitQC, ticket),
+// and checking one's own signature proves nothing. Only signatures made
+// here, with the private key, are trusted this way — a share received from
+// the network under this replica's name still verifies in full.
+func (c *VerifyCache) Signer(s Signer) Signer { return memoSigner{Signer: s, cache: c} }
+
+type memoSigner struct {
+	Signer
+	cache *VerifyCache
+}
+
+func (s memoSigner) Sign(msg []byte) []byte {
+	sig := s.Signer.Sign(msg)
+	s.cache.remember(makeMemoKey(s.ID(), msg, sig))
+	return sig
 }
 
 // Cached reports whether the exact (signer, msg, sig) triple is memoized

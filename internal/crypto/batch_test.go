@@ -4,6 +4,7 @@ import (
 	"fmt"
 	gort "runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/types"
@@ -96,6 +97,67 @@ func TestVerifyCacheKeyBindsSignature(t *testing.T) {
 	bogus[0] ^= 1
 	if cache.Verify(0, msg, bogus) {
 		t.Fatal("different signature admitted via memo")
+	}
+}
+
+// countingVerifier counts the raw verifications that reach it.
+type countingVerifier struct {
+	Verifier
+	raw atomic.Int64
+}
+
+func (c *countingVerifier) Verify(signer types.NodeID, msg, sig []byte) bool {
+	c.raw.Add(1)
+	return c.Verifier.Verify(signer, msg, sig)
+}
+
+// TestOwnSignaturesEnterMemo: a signature made through the cache's signer
+// wrapper is memoized as it is made, so a certificate that aggregates the
+// verifier's own share costs q-1 raw verifications; a share that merely
+// claims the verifier's name is still checked, fails, and is never cached.
+func TestOwnSignaturesEnterMemo(t *testing.T) {
+	const self = types.NodeID(2)
+	suite := NewEd25519Suite(4, 1)
+	committee := types.NewCommittee(4)
+	raw := &countingVerifier{Verifier: suite.Verifier()}
+	cache := NewVerifyCache(raw, 0)
+	own := cache.Signer(suite.Signer(self))
+	if own.ID() != self {
+		t.Fatalf("wrapped signer ID = %s", own.ID())
+	}
+
+	qc := &types.CommitQC{Slot: 7, Digest: types.Digest{7}, Fast: true}
+	msg := (&types.PrepVote{Slot: 7, Digest: types.Digest{7}, Strong: true}).SigningBytes()
+	for i := 0; i < 4; i++ {
+		signer := suite.Signer(types.NodeID(i))
+		if types.NodeID(i) == self {
+			signer = own
+		}
+		qc.Shares = append(qc.Shares, types.SigShare{Signer: types.NodeID(i), Sig: signer.Sign(msg)})
+	}
+	if err := VerifyCommitQC(cache, committee, qc); err != nil {
+		t.Fatal(err)
+	}
+	if got := raw.raw.Load(); got != 3 {
+		t.Fatalf("CommitQC with the verifier's own share cost %d raw verifications, want q-1 = 3", got)
+	}
+
+	// A forged share under the verifier's own name was never produced by
+	// the wrapped signer: it alone reaches the raw verifier (the other three
+	// are memo hits by now), fails, and stays out of the memo.
+	forged := *qc
+	forged.Shares = append([]types.SigShare(nil), qc.Shares...)
+	bad := append([]byte(nil), qc.Shares[self].Sig...)
+	bad[0] ^= 1
+	forged.Shares[self].Sig = bad
+	if err := VerifyCommitQC(cache, committee, &forged); err == nil {
+		t.Fatal("forged own-name share accepted")
+	}
+	if cache.Cached(self, msg, bad) {
+		t.Fatal("forged share was cached")
+	}
+	if got := raw.raw.Load(); got <= 3 {
+		t.Fatalf("forged own-name share never reached the raw verifier (%d raw verifications)", got)
 	}
 }
 

@@ -293,12 +293,15 @@ func (m *Manager) progressed(now time.Duration, r *Request) {
 // without a reply is dropped — consumers that still need the data ask
 // again (execution from the orderer's missing set, pending votes from the
 // engine, voting gaps from the next live car), and a fetch nobody
-// re-issues was stale. Requests are visited in a canonical order — never
-// map order: the emits become sends, and send order must be a
-// deterministic function of the event history or fixed-seed simulations
-// of recovery scenarios stop being reproducible.
-func (m *Manager) Tick(now time.Duration) []*Emit {
-	var out []*Emit
+// re-issues was stale. The lanes whose catch-up stream was dropped that
+// way are returned as exhausted: nobody who should hold that history
+// answered for it, which is what a range beneath every peer's truncation
+// line looks like from here (the node's cue to fetch state instead).
+// Requests are visited in a canonical order — never map order: the emits
+// become sends, and send order must be a deterministic function of the
+// event history or fixed-seed simulations of recovery scenarios stop
+// being reproducible.
+func (m *Manager) Tick(now time.Duration) (out []*Emit, exhausted []types.NodeID) {
 	patience := m.patience()
 	retry := func(r *Request) bool {
 		if now-r.progress < patience {
@@ -314,6 +317,7 @@ func (m *Manager) Tick(now time.Duration) []*Emit {
 	for _, l := range m.sortedLanes() {
 		if !retry(m.streams[l]) {
 			delete(m.streams, l)
+			exhausted = append(exhausted, l)
 		}
 	}
 	for _, k := range m.sortedTips() {
@@ -321,7 +325,7 @@ func (m *Manager) Tick(now time.Duration) []*Emit {
 			delete(m.tips, k)
 		}
 	}
-	return out
+	return out, exhausted
 }
 
 // sortedLanes returns the lanes with a stream in ascending order.

@@ -237,7 +237,7 @@ func TestNoRetryWhileStreaming(t *testing.T) {
 	now := late
 	for i := 0; i < 10; i++ { // one car every 90ms: 900ms in all
 		now += 90 * time.Millisecond
-		if ems := m.Tick(now); len(ems) != 0 {
+		if ems, _ := m.Tick(now); len(ems) != 0 {
 			t.Fatalf("retry at +%v while chunks keep arriving", now-late)
 		}
 		if _, err := m.OnReply(now, 2, &types.SyncReply{Lane: 1, Proposals: props[i : i+1]}); err != nil {
@@ -246,10 +246,10 @@ func TestNoRetryWhileStreaming(t *testing.T) {
 	}
 	// The request was 900ms old when its last reply arrived: on a path
 	// that slow, twice that much silence is loss, not less.
-	if ems := m.Tick(now + time.Second); len(ems) != 0 {
+	if ems, _ := m.Tick(now + time.Second); len(ems) != 0 {
 		t.Fatal("retry before the stream has been silent for long enough")
 	}
-	ems := m.Tick(now + 2*time.Second)
+	ems, _ := m.Tick(now + 2*time.Second)
 	if len(ems) != 1 || ems[0].To != 3 {
 		t.Fatalf("silence must re-issue to the next target, got %+v", ems)
 	}
@@ -269,10 +269,10 @@ func TestPatienceFollowsReplyAge(t *testing.T) {
 	if _, err := m.OnReply(late+time.Second, 2, &types.SyncReply{Lane: 1, Proposals: props[:2]}); err != nil {
 		t.Fatal(err)
 	}
-	if ems := m.Tick(late + 2500*time.Millisecond); len(ems) != 0 {
+	if ems, _ := m.Tick(late + 2500*time.Millisecond); len(ems) != 0 {
 		t.Fatal("retry after 1.5s of silence on a path whose replies take 1s")
 	}
-	if ems := m.Tick(late + 3100*time.Millisecond); len(ems) != 1 {
+	if ems, _ := m.Tick(late + 3100*time.Millisecond); len(ems) != 1 {
 		t.Fatal("2.1s of silence must re-issue")
 	}
 	if _, err := m.OnReply(late+3200*time.Millisecond, 3, &types.SyncReply{Lane: 1, Proposals: props[2:]}); err != nil {
@@ -282,7 +282,7 @@ func TestPatienceFollowsReplyAge(t *testing.T) {
 		t.Fatal("stream must complete")
 	}
 	m.Want(2*late, 1, 1, 4, props[3].Digest(), []types.NodeID{2, 3})
-	if ems := m.Tick(2*late + 150*time.Millisecond); len(ems) != 1 {
+	if ems, _ := m.Tick(2*late + 150*time.Millisecond); len(ems) != 1 {
 		t.Fatal("a new episode must start from RetryAfter")
 	}
 }
@@ -448,19 +448,33 @@ func TestTickRotatesThenAbandons(t *testing.T) {
 	m := NewManager(Config{Self: 0, RetryAfter: 10 * time.Millisecond})
 	m.WantTip(late, 1, 5, types.Digest{1}, []types.NodeID{2, 3}, 0)
 
-	ems := m.Tick(late + 20*time.Millisecond)
+	ems, _ := m.Tick(late + 20*time.Millisecond)
 	if len(ems) != 1 {
 		t.Fatalf("first retry: %d emits", len(ems))
 	}
 	if ems[0].To != 3 {
 		t.Fatalf("retry must rotate targets, got %s", ems[0].To)
 	}
-	if len(m.Tick(late+25*time.Millisecond)) != 0 {
+	if ems, _ = m.Tick(late + 25*time.Millisecond); len(ems) != 0 {
 		t.Fatal("retry before deadline")
 	}
-	ems = m.Tick(late + 40*time.Millisecond) // every target tried: dropped
+	ems, exhausted := m.Tick(late + 40*time.Millisecond) // every target tried: dropped
 	if len(ems) != 0 || m.Outstanding() != 0 {
 		t.Fatalf("fetch not abandoned: emits=%d outstanding=%d", len(ems), m.Outstanding())
+	}
+	if len(exhausted) != 0 {
+		t.Fatalf("a dropped point request is not an exhausted stream: %v", exhausted)
+	}
+
+	// A catch-up stream that every target was silent on is reported: the
+	// node takes it as the sign that the range lies beneath its peers'
+	// truncation line.
+	m.Want(2*late, 4, 1, 9, types.Digest{2}, []types.NodeID{2, 3})
+	if _, exhausted = m.Tick(2*late + 20*time.Millisecond); len(exhausted) != 0 {
+		t.Fatalf("stream reported exhausted with a target untried: %v", exhausted)
+	}
+	if _, exhausted = m.Tick(2*late + 40*time.Millisecond); len(exhausted) != 1 || exhausted[0] != 4 || m.Outstanding() != 0 {
+		t.Fatalf("silent rotation over every target: exhausted=%v outstanding=%d", exhausted, m.Outstanding())
 	}
 }
 

@@ -503,16 +503,24 @@ func (s *State) AssembleCutFunc(optimisticFor func(types.NodeID) bool) types.Cut
 	cut := types.Cut{Tips: make([]types.TipRef, n)}
 	for i := 0; i < n; i++ {
 		l := types.NodeID(i)
-		switch {
-		case l == s.cfg.Self:
-			cut.Tips[i] = s.leaderOwnTip()
-		case optimisticFor(l):
-			cut.Tips[i] = s.OptimisticTip(l)
-		default:
-			cut.Tips[i] = s.CertifiedTip(l)
-		}
+		cut.Tips[i] = s.CutTip(l, l != s.cfg.Self && optimisticFor(l))
 	}
 	return cut
+}
+
+// CutTip returns the tip a cut assembled now would carry for lane l: the
+// leader tip for the own lane, else the optimistic or the certified tip.
+// The coverage count reads it per lane on every start evaluation, so it
+// builds nothing.
+func (s *State) CutTip(l types.NodeID, optimistic bool) types.TipRef {
+	switch {
+	case l == s.cfg.Self:
+		return s.leaderOwnTip()
+	case optimistic:
+		return s.OptimisticTip(l)
+	default:
+		return s.CertifiedTip(l)
+	}
 }
 
 func (s *State) leaderOwnTip() types.TipRef {

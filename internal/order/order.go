@@ -82,6 +82,22 @@ func (o *Orderer) PendingSlot(s types.Slot) bool {
 	return ok
 }
 
+// BlockedOn reports whether the next slot is decided and cannot execute
+// for want of lane's data: its cut commits a tip above the lane's frontier
+// whose chain the store does not hold down to it.
+func (o *Orderer) BlockedOn(lane types.NodeID) bool {
+	prop, ok := o.pendingSlots[o.nextExec]
+	if !ok || int(lane) >= len(prop.Cut.Tips) {
+		return false
+	}
+	tip, last := prop.Cut.Tips[lane], o.lastCommit[lane]
+	if tip.Position <= last {
+		return false
+	}
+	_, complete := o.src.ChainSuffix(lane, last+1, tip.Position, tip.Digest)
+	return !complete
+}
+
 // AddDecision records a committed slot. Decisions may arrive in any order
 // and at most once per slot (consensus safety guarantees one value).
 func (o *Orderer) AddDecision(s types.Slot, p *types.ConsensusProposal) error {
