@@ -2,7 +2,7 @@
 
 GOMAXPROCS ?= 4
 
-.PHONY: build test race vet fmt tidy-check check
+.PHONY: build test race vet fmt tidy-check check loc
 
 build:
 	go build ./...
@@ -31,3 +31,14 @@ tidy-check:
 	go mod verify
 
 check: build vet test tidy-check
+
+# Non-test Go lines: the root module and benchmark/ (a module of its own)
+# apart — the figure ROADMAP's "trends down" constraint quotes — then
+# each of LOC_DIRS, for a PR that claims to have shrunk one.
+LOC_DIRS ?= internal/core internal/lane cmd
+loc:
+	@count() { xargs -0 cat | wc -l; }; \
+	printf '%-14s %6d\n' 'root module' "$$(find . \( -path ./benchmark -o -path ./.bench_build -o -path ./.git \) -prune -o -name '*.go' ! -name '*_test.go' -print0 | count)"; \
+	for d in benchmark $(LOC_DIRS); do \
+		printf '%-14s %6d\n' "$$d" "$$(find $$d -name '*.go' ! -name '*_test.go' -print0 | count)"; \
+	done

@@ -79,9 +79,10 @@ type Options struct {
 	// lane i on shard i mod DataShards, preserving per-lane FIFO — while
 	// consensus stays on the serialized control loop (§4: dissemination
 	// is embarrassingly parallel per lane; agreement is not). 0 = auto
-	// (min(GOMAXPROCS, N); single-core machines stay unsharded), 1 =
-	// disabled. Real-time runtimes only; the simulator always runs
-	// unsharded so fixed-seed runs stay bit-reproducible.
+	// (min(GOMAXPROCS, N)), 1 = no workers: the same lane handlers run
+	// inline on the control loop, which is also what a single-core
+	// machine, an adversarial replica and the simulator get. Real-time
+	// runtimes only.
 	DataShards int
 
 	// Adversaries marks replicas as Byzantine in real-time deployments:
@@ -168,9 +169,9 @@ type Options struct {
 	// Replica on this listen address: per-client submission windows with
 	// sliding dedup, depth-based admission control with typed rejections
 	// and priority shedding, and streamed commit acknowledgments (see
-	// internal/gateway). Clients speak the gateway protocol
-	// (gateway.Client, autobahn-client -gateway) instead of the bare
-	// newline port. Replica (TCP) runtimes only.
+	// internal/gateway). It is the only client-facing listener a Replica
+	// has: clients speak the gateway protocol (gateway.Client,
+	// autobahn-client). Replica (TCP) runtimes only.
 	GatewayAddr string
 	// Gateway tunes the gateway tier (window sizes, admission depth
 	// bounds, frame cap); the zero value gets defaults. Only meaningful

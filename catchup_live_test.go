@@ -11,11 +11,12 @@ import (
 	"repro/internal/types"
 )
 
-// TestLivePartitionCatchUp holds the sharded data plane to the same
-// single-copy bound the simulator test (harness.TestBlipCatchUpSingleCopy)
-// holds the classic handlers to: both end in core.Node.syncIngested and
-// the one fetch manager behind it, and this test is what notices if they
-// drift apart. A replica of an in-process cluster is cut off from
+// TestLivePartitionCatchUp holds the data plane under shard workers to
+// the same single-copy bound the simulator test
+// (harness.TestBlipCatchUpSingleCopy) holds it to delivered inline: the
+// handlers are the same, what differs is that here a reply's syncDone and
+// the burst's lane notice cross goroutines, and this test is what notices
+// if that reorders them. A replica of an in-process cluster is cut off from
 // everything sent to it for 1.5 s under load; once the link is back it
 // must catch up with what it missed crossing its ingest path once.
 //

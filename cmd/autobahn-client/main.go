@@ -1,25 +1,21 @@
 // Command autobahn-client is the open-loop load generator for TCP
-// deployments (cmd/autobahn-node): it streams newline-delimited random
+// deployments (cmd/autobahn-node -gateway): it submits random
 // transactions of a fixed size at a constant rate, matching the paper's
 // workload (512-byte no-op transactions, §6). With -conns > 1 the rate
-// is split across parallel connections — a single submitter thread
-// cannot saturate a replica whose data plane runs multi-core (-shards).
+// is split across parallel connections — a single submitter is
+// window-limited, and cannot saturate a replica whose data plane runs
+// multi-core (-shards).
 //
-// With -gateway the client speaks the gateway protocol instead
-// (autobahn-node -gateway): each connection is a gateway.Client with a
-// submission window, seeded backoff on typed rejections, and ack-timeout
-// resubmission, and the run reports end-to-end submit→commit-ack
-// latency percentiles alongside the outcome counts.
+// Each connection is a gateway.Client with a submission window, seeded
+// backoff on typed rejections, and ack-timeout resubmission, and the run
+// reports end-to-end submit→commit-ack latency percentiles alongside the
+// outcome counts.
 package main
 
 import (
-	"bufio"
 	"crypto/rand"
-	"encoding/base64"
 	"flag"
-	"fmt"
 	"log"
-	"net"
 	"sort"
 	"sync"
 	"time"
@@ -28,79 +24,18 @@ import (
 )
 
 func main() {
-	to := flag.String("to", "127.0.0.1:8000", "replica client address")
+	to := flag.String("to", "127.0.0.1:8000", "replica gateway address")
 	rate := flag.Float64("rate", 1000, "transactions per second (total across connections)")
-	size := flag.Int("size", 512, "transaction payload bytes (pre-encoding)")
-	duration := flag.Duration("duration", 10*time.Second, "how long to stream")
+	size := flag.Int("size", 512, "transaction payload bytes")
+	duration := flag.Duration("duration", 10*time.Second, "how long to submit")
 	conns := flag.Int("conns", 1, "parallel submission connections")
-	useGateway := flag.Bool("gateway", false, "speak the gateway protocol to -to (windows, dedup, commit acks) instead of bare newline submission")
 	priority := flag.Int("priority", 1, "gateway priority class: 0 bulk (shed first under load), 1 normal, 2 high")
 	flag.Parse()
 
 	if *conns < 1 {
 		*conns = 1
 	}
-	if *useGateway {
-		gatewayLoad(*to, *rate, *size, *duration, *conns, uint8(*priority))
-		return
-	}
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	total := 0
-	for c := 0; c < *conns; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sent, err := stream(*to, *rate/float64(*conns), *size, *duration)
-			if err != nil {
-				log.Printf("conn: %v", err)
-			}
-			mu.Lock()
-			total += sent
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	log.Printf("sent %d transactions (%.0f tx/s over %d conns) to %s",
-		total, float64(total)/duration.Seconds(), *conns, *to)
-}
-
-// stream feeds one connection at the given rate until the duration
-// elapses, returning the number of transactions sent.
-func stream(to string, rate float64, size int, duration time.Duration) (int, error) {
-	conn, err := net.DialTimeout("tcp", to, 5*time.Second)
-	if err != nil {
-		return 0, err
-	}
-	defer conn.Close()
-	w := bufio.NewWriterSize(conn, 1<<20)
-
-	// Newline framing requires payloads without newlines: base64-encode
-	// random bytes sized so the encoded form hits the target size.
-	raw := make([]byte, (size*3)/4)
-	interval := time.Duration(float64(time.Second) / rate)
-	if interval <= 0 {
-		interval = time.Microsecond
-	}
-	deadline := time.Now().Add(duration)
-	sent := 0
-	next := time.Now()
-	for time.Now().Before(deadline) {
-		if _, err := rand.Read(raw); err != nil {
-			return sent, err
-		}
-		line := base64.StdEncoding.EncodeToString(raw)
-		if _, err := fmt.Fprintln(w, line); err != nil {
-			return sent, fmt.Errorf("send: %w", err)
-		}
-		sent++
-		next = next.Add(interval)
-		if d := time.Until(next); d > 0 {
-			w.Flush()
-			time.Sleep(d)
-		}
-	}
-	return sent, w.Flush()
+	gatewayLoad(*to, *rate, *size, *duration, *conns, uint8(*priority))
 }
 
 // gatewayLoad drives -conns gateway clients at the target aggregate rate

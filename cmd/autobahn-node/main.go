@@ -1,6 +1,8 @@
 // Command autobahn-node runs one Autobahn replica over TCP. Peers are
 // configured with a comma-separated address list ordered by replica ID;
-// clients submit newline-delimited transactions over a separate TCP port.
+// clients reach the replica through its gateway (-gateway, the framed
+// client protocol of internal/gateway: submission windows, dedup,
+// admission control, commit acks — autobahn-client speaks it).
 //
 // With -wal, the replica journals its safety-critical protocol state to
 // a write-ahead log (the RocksDB substitute) before externalizing it: a
@@ -14,19 +16,17 @@
 //	for i in 0 1 2 3; do
 //	  autobahn-node -id $i \
 //	    -peers 127.0.0.1:9000,127.0.0.1:9001,127.0.0.1:9002,127.0.0.1:9003 \
-//	    -client 127.0.0.1:800$i -wal /tmp/autobahn-$i.wal &
+//	    -gateway 127.0.0.1:800$i -wal /tmp/autobahn-$i.wal &
 //	done
 //	autobahn-client -to 127.0.0.1:8000 -rate 1000 -duration 10s
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"net/http"
 	_ "net/http/pprof" // -pprof exposes the default mux's profiles
 	"os"
@@ -43,7 +43,6 @@ import (
 func main() {
 	id := flag.Int("id", 0, "this replica's ID (0-based, ordered as in -peers)")
 	peers := flag.String("peers", "", "comma-separated replica addresses ordered by ID")
-	clientAddr := flag.String("client", "", "address for client transaction submissions (optional)")
 	walPath := flag.String("wal", "", "write-ahead log path for crash-restart recovery; committed batches go to <path>.commits (optional)")
 	timeout := flag.Duration("view-timeout", time.Second, "consensus view timeout")
 	quiet := flag.Bool("quiet", false, "suppress per-commit output")
@@ -52,7 +51,7 @@ func main() {
 	gossip := flag.Int("gossip", 0, "car gossip fanout k (0 = full-mesh broadcast); try log2(committee)+1 for large committees")
 	deltaCuts := flag.Bool("delta-cuts", false, "delta-compress cut-bearing consensus frames against each connection's previous cut")
 	stallTimeout := flag.Duration("stall-timeout", 10*time.Second, "tear down and redial peer connections that accept but make no progress for this long (0 disables the stall detector)")
-	gatewayAddr := flag.String("gateway", "", "client gateway listen address: per-client windows, dedup, admission control, commit acks (optional; see autobahn-client -gateway)")
+	gatewayAddr := flag.String("gateway", "", "client gateway listen address: per-client windows, dedup, admission control, commit acks (optional; autobahn-client connects here)")
 	execOn := flag.Bool("exec", false, "run the deterministic execution layer over the committed stream (commits carry a cross-checkable AppHash)")
 	snapEvery := flag.Uint64("snapshot-every", 0, "checkpoint execution state every N slots, truncate the WAL and batch log beneath it, and serve snapshot-based state sync to amnesiac peers (implies -exec; snapshot persists at <wal>.snap)")
 	flag.Parse()
@@ -118,10 +117,6 @@ func main() {
 				logger.Printf("pprof: %v", err)
 			}
 		}()
-	}
-
-	if *clientAddr != "" {
-		go serveClients(*clientAddr, replica, logger)
 	}
 
 	var committedTx, committedBatches uint64
@@ -209,33 +204,4 @@ func pruneCommits(wal *storage.Store, below types.Slot, logger *log.Logger) {
 		return
 	}
 	logger.Printf("batch log pruned below slot %d (%d records)", below, len(doomed))
-}
-
-// serveClients accepts newline-delimited transactions and feeds them into
-// this replica's mempool.
-func serveClients(addr string, r *autobahn.Replica, logger *log.Logger) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		logger.Fatalf("client listener: %v", err)
-	}
-	logger.Printf("accepting client transactions on %s", addr)
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			logger.Printf("client accept: %v", err)
-			continue
-		}
-		go func() {
-			defer conn.Close()
-			sc := bufio.NewScanner(conn)
-			sc.Buffer(make([]byte, 1<<20), 1<<20)
-			for sc.Scan() {
-				tx := make([]byte, len(sc.Bytes()))
-				copy(tx, sc.Bytes())
-				if len(tx) > 0 {
-					r.Submit(tx)
-				}
-			}
-		}()
-	}
 }

@@ -85,13 +85,13 @@ type Config struct {
 	// (§5.5.1; default 1 = disabled, matching the paper's prototype).
 	PipelineCars int
 
-	// Shards enables the parallel data plane (see shard.go): when > 1 and
-	// the runtime honors runtime.Sharder (the TCP/local transport loop
-	// does; the discrete-event simulator does not and must be left at the
-	// 0/1 default), lane traffic is processed on Shards worker goroutines
-	// (lane i → shard i mod Shards) while consensus stays serialized.
-	// Values above the committee size are clamped — a shard without a
-	// lane would never receive an event.
+	// Shards partitions the data plane (see shard.go): lane i belongs to
+	// shard i mod max(Shards, 1). When > 1 and the runtime honors
+	// runtime.Sharder (the TCP/local transport loop does), each shard runs
+	// on its own worker goroutine while consensus stays serialized; under
+	// any other runtime, and at 0/1, the same shard handlers run inline on
+	// the control goroutine. Values above the committee size are clamped —
+	// a shard without a lane would never receive an event.
 	Shards int
 
 	// SequentialVerify is the large-committee baseline switch: the
@@ -187,10 +187,6 @@ type Node struct {
 	recentNotices map[types.Slot]*types.CommitNotice
 	maxNotice     types.Slot
 
-	// lastRetxPos tracks the outstanding car seen at the previous
-	// retransmit tick (rebroadcast only if still stuck a tick later).
-	lastRetxPos types.Pos
-
 	// stuckSlot tracks an undecided execution-frontier slot seen at the
 	// previous fetch tick while a later slot was already decided — the
 	// signature of a lost CommitNotice (see retryMissingDecision).
@@ -240,8 +236,10 @@ type Node struct {
 	gctx    gatedContext
 	pending []pendingSend
 
-	// Sharded data plane (cfg.Shards > 1; see shard.go): per-shard worker
-	// state, and the control plane's notice-fed snapshot of lane tips.
+	// Data plane (see shard.go): the shards that own lane state, and the
+	// control plane's notice-fed snapshot of lane tips. sharded
+	// (cfg.Shards > 1) selects how the two hand messages to each other —
+	// self-addressed sends or direct calls — and nothing else.
 	sharded bool
 	shards  []*shardState
 	tips    *tipTable
@@ -400,25 +398,17 @@ func NewNode(cfg Config) *Node {
 		Trace:          cfg.ConsensusTrace,
 	}, (*consensusEnv)(n), (*cutProvider)(n))
 	n.sharded = cfg.Shards > 1
-	if n.sharded {
-		n.tips = newTipTable(cfg.Committee.Size(), cfg.Self)
-		n.shards = make([]*shardState, cfg.Shards)
-		for i := range n.shards {
-			n.shards[i] = &shardState{
-				n:       n,
-				idx:     i,
-				notices: make(map[types.NodeID]*laneNotice),
-			}
-		}
+	n.tips = newTipTable(cfg.Committee.Size(), cfg.Self)
+	n.shards = make([]*shardState, max(cfg.Shards, 1))
+	for i := range n.shards {
+		n.shards[i] = &shardState{n: n, notices: make(map[types.NodeID]*laneNotice)}
 	}
 	n.recover()
-	if n.sharded {
-		// Recovery may have restored own-lane tips (NewNode runs before
-		// any goroutine exists, so reading lane state here is safe); seed
-		// the control snapshot so the first cut is not blind to them.
-		n.tips.ownTip = n.lanes.OptimisticTip(cfg.Self)
-		n.tips.ownCert = n.lanes.CertifiedTip(cfg.Self)
-	}
+	// Recovery may have restored own-lane tips (NewNode runs before any
+	// goroutine exists, so reading lane state here is safe); seed the
+	// control snapshot so the first cut is not blind to them.
+	n.tips.ownTip = n.lanes.OptimisticTip(cfg.Self)
+	n.tips.ownCert = n.lanes.CertifiedTip(cfg.Self)
 	return n
 }
 
@@ -545,51 +535,31 @@ func (n *Node) Init(ctx runtime.Context) {
 }
 
 // OnClientBatch receives a sealed batch from this replica's mempool and
-// feeds it into the replica's own lane (§5.1 step 1). Sharded runtimes
-// route batches to the own-lane shard instead (OnShardBatch).
+// feeds it into the replica's own lane, inline on the control goroutine.
+// Runtimes with shard workers route batches to the own-lane shard instead
+// (OnShardBatch).
 func (n *Node) OnClientBatch(ctx runtime.Context, b *types.Batch) {
-	if n.sharded {
-		// Unsharded runtime despite cfg.Shards > 1 (single-threaded here):
-		// run the shard path inline so state ownership stays consistent.
-		n.OnShardBatch(ctx, n.BatchShard(), b)
-		n.FlushShard(ctx, n.BatchShard())
-		return
-	}
 	ctx = n.enter(ctx)
 	defer n.leave()
-	if p := n.lanes.AddBatch(b); p != nil {
-		n.stats.BatchesProposed.Add(1)
-		ctx.Broadcast(p)
-		n.engine.OnTipsAdvanced() // own leader tip advanced
-	}
+	sh := n.shards[n.ownShard()]
+	sh.addBatch(ctx, b)
+	sh.flushNotices(ctx)
 }
 
-// OnMessage dispatches a peer (or internal shard-handoff) message on the
-// control loop.
+// OnMessage dispatches a peer (or internal handoff) message on the control
+// loop. A data-plane message gets here only when no shard worker took it
+// (see shard.go, inline delivery): its lane's shard handles it right away,
+// under the control loop's context, and flushes its notices at once.
 func (n *Node) OnMessage(ctx runtime.Context, from types.NodeID, m types.Message) {
-	if n.sharded {
-		if s := n.ShardOf(from, m); s >= 0 {
-			// Data-plane message on the control loop: the runtime does not
-			// honor runtime.Sharder (custom runtimes only — the transport
-			// loop routes these before delivery). Run the shard path
-			// inline, flushing its notices immediately; single-threaded,
-			// so shard-state ownership is vacuously respected.
-			n.OnShardMessage(ctx, s, from, m)
-			n.FlushShard(ctx, s)
-			return
-		}
-	}
 	ctx = n.enter(ctx)
 	defer n.leave()
+	if s := n.laneShard(m); s >= 0 {
+		sh := n.shards[s]
+		sh.handle(ctx, from, m)
+		sh.flushNotices(ctx)
+		return
+	}
 	switch msg := m.(type) {
-	case *types.Proposal:
-		n.handleProposal(ctx, from, msg, true)
-	case *types.Vote:
-		n.handleVote(ctx, msg)
-	case *types.PoA:
-		if err := n.lanes.OnPoA(msg); err == nil {
-			n.engine.OnTipsAdvanced()
-		}
 	case *types.Prepare:
 		n.stats.ProposalsReceived.Add(1)
 		n.engine.OnPrepare(from, msg)
@@ -603,10 +573,6 @@ func (n *Node) OnMessage(ctx runtime.Context, from types.NodeID, m types.Message
 		n.handleCommitNotice(ctx, from, msg)
 	case *types.Timeout:
 		n.engine.OnTimeoutMsg(from, msg)
-	case *types.SyncRequest:
-		n.serveSync(ctx, msg)
-	case *types.SyncReply:
-		n.handleSyncReply(ctx, from, msg)
 	case *types.CommitRequest:
 		n.serveCommitRequest(ctx, msg)
 	case *types.CommitReply:
@@ -621,13 +587,8 @@ func (n *Node) OnMessage(ctx runtime.Context, from types.NodeID, m types.Message
 		n.serveChunkRequest(ctx, msg)
 	case *types.ChunkReply:
 		n.handleChunkReply(ctx, from, msg)
-	case *laneNotice:
-		n.onLaneNotice(ctx, msg)
-	case *ownTipNotice:
-		n.tips.ownTip, n.tips.ownCert = msg.tip, msg.cert
-		n.engine.OnTipsAdvanced() // own leader tip advanced
-	case *syncDone:
-		n.syncIngested(ctx, msg.from, msg.rep)
+	case *laneNotice, *ownTipNotice, *syncDone:
+		n.onNotice(ctx, m)
 	}
 }
 
@@ -659,20 +620,9 @@ func (n *Node) OnTimer(ctx runtime.Context, tag runtime.TimerTag) {
 		n.tickStateSync(ctx)
 		ctx.SetTimer(n.cfg.FetchTick, runtime.TimerTag{Kind: tagFetchTick})
 	case tagCarRetx:
-		// An own car that survived a whole tick without certifying has
-		// likely lost its broadcast or its votes: re-broadcast it. The
-		// outstanding-car state is shard-owned under the parallel data
-		// plane, so the tick is forwarded there.
-		if n.sharded {
-			ctx.Send(n.cfg.Self, &retxMsg{})
-		} else if p := n.lanes.OldestOutstanding(); p != nil {
-			if p.Position == n.lastRetxPos {
-				ctx.Broadcast(p)
-			}
-			n.lastRetxPos = p.Position
-		} else {
-			n.lastRetxPos = 0
-		}
+		// The outstanding-car state is shard-owned (see
+		// shardState.retransmit), so the tick is forwarded there.
+		n.toShard(ctx, &retxMsg{})
 		ctx.SetTimer(carRetransmit, runtime.TimerTag{Kind: tagCarRetx})
 	}
 }
@@ -741,23 +691,27 @@ func (n *Node) Flush(ctx runtime.Context) {
 	if err := n.cfg.Journal.Sync(); err != nil {
 		n.fatal(err)
 	}
-	if n.halted.Load() {
-		n.dropPending(&n.pending)
-		return
-	}
-	if len(n.pending) == 0 {
-		return
-	}
-	pend := n.pending
-	n.pending = n.pending[:0]
+	n.release(ctx, &n.pending)
+}
+
+// release empties a gated queue after its journal barrier: the sends go
+// out in original order through the real context — or, on a halted node,
+// are discarded. It reports whether they went out.
+func (n *Node) release(ctx runtime.Context, pending *[]pendingSend) bool {
+	live := !n.halted.Load()
+	pend := *pending
+	*pending = pend[:0]
 	for i := range pend {
-		if pend[i].broadcast {
-			ctx.Broadcast(pend[i].msg)
-		} else {
-			ctx.Send(pend[i].to, pend[i].msg)
+		if live {
+			if pend[i].broadcast {
+				ctx.Broadcast(pend[i].msg)
+			} else {
+				ctx.Send(pend[i].to, pend[i].msg)
+			}
 		}
 		pend[i] = pendingSend{} // release the message reference
 	}
+	return live
 }
 
 // fatal records a journal-barrier failure: the node stops externalizing
@@ -775,105 +729,7 @@ func (n *Node) fatal(err error) {
 // Halted reports whether the node halted on a journal failure.
 func (n *Node) Halted() bool { return n.halted.Load() }
 
-// dropPending discards gated sends without releasing them.
-func (n *Node) dropPending(pending *[]pendingSend) {
-	pend := *pending
-	*pending = pend[:0]
-	for i := range pend {
-		pend[i] = pendingSend{}
-	}
-}
-
-// --- data layer handling ---
-
-// handleProposal processes a lane proposal (live broadcast or synced) on
-// the classic single-threaded path (shardState.handleProposal is the
-// data-plane counterpart).
-func (n *Node) handleProposal(ctx runtime.Context, from types.NodeID, p *types.Proposal, live bool) {
-	n.countArrival(p, live)
-	if p.Lane == n.cfg.Self {
-		// Own-lane data arriving from outside: meaningless on the live
-		// path (peers do not re-broadcast our cars), but sync deliveries
-		// must be ingested store-only so execution of a committed own-lane
-		// chain this replica no longer (amnesia) or never (a lost
-		// self-fork) possessed can proceed — see lane.IngestOwn.
-		if !live && n.lanes.IngestOwn(p) == nil {
-			n.drainExecution(ctx)
-		}
-		return
-	}
-	votes, err := n.lanes.OnProposal(p)
-	for _, v := range votes {
-		n.stats.VotesSent.Add(1)
-		ctx.Send(p.Lane, v)
-	}
-	if err != nil && err != lane.ErrMissingParent {
-		return
-	}
-	if live {
-		n.fetcher.NoteLive(ctx.Now(), p.Lane, p.Position)
-		if err == lane.ErrMissingParent {
-			n.wantGap(ctx, p.Lane)
-		}
-	}
-	// Data arrival can unblock pending consensus votes and execution,
-	// and new certified tips (carried as ParentPoA) advance coverage.
-	n.fetcher.Settle(p.Lane, n.lanes.Store().Has)
-	n.engine.OnTipsAdvanced()
-	n.retryPendingVotes()
-	n.drainExecution(ctx)
-}
-
-// countArrival feeds the sync-traffic counters; it must run before the
-// proposal is stored.
-func (n *Node) countArrival(p *types.Proposal, live bool) {
-	if p.Batch == nil {
-		return
-	}
-	if !live {
-		n.stats.SyncBytesReceived.Add(p.Batch.Bytes)
-	}
-	if n.lanes.Store().Has(p.Lane, p.Position, p.Digest()) {
-		n.stats.DataBytesRedundant.Add(p.Batch.Bytes)
-	}
-}
-
-func (n *Node) handleVote(ctx runtime.Context, v *types.Vote) {
-	props, poa, err := n.lanes.OnVote(v)
-	if err != nil {
-		return
-	}
-	for _, p := range props {
-		n.stats.BatchesProposed.Add(1)
-		ctx.Broadcast(p)
-	}
-	if poa != nil {
-		ctx.Broadcast(poa)
-	}
-	if len(props) > 0 || poa != nil {
-		n.engine.OnTipsAdvanced()
-	}
-}
-
-// wantGap asks for the hole beneath a lane's buffered live cars,
-// targeting the certifiers of the lowest buffered proposal's parent (at
-// least one is correct and, by FIFO voting, holds the whole history).
-func (n *Node) wantGap(ctx runtime.Context, l types.NodeID) {
-	if from, to, anchor, ok := n.lanes.BufferedGap(l); ok {
-		n.wantGapAt(ctx, l, from, to, anchor)
-	}
-}
-
-// wantGapAt is wantGap for an already-localized gap — the form the
-// sharded path uses, because BufferedGap reads shard-owned state and the
-// range therefore rides in the shard's notice.
-func (n *Node) wantGapAt(ctx runtime.Context, l types.NodeID, from, to types.Pos, anchor types.TipRef) {
-	targets := []types.NodeID{l}
-	if anchor.Cert != nil {
-		targets = append(anchor.Cert.Signers(), l)
-	}
-	n.request(ctx, n.fetcher.Want(ctx.Now(), l, from, to, anchor.Digest, targets))
-}
+// --- synchronization ---
 
 // request sends a sync request the fetch manager emitted (nil: nothing
 // to ask for now).
@@ -884,57 +740,18 @@ func (n *Node) request(ctx runtime.Context, em *fetch.Emit) {
 	}
 }
 
-// --- synchronization ---
-
-func (n *Node) serveSync(ctx runtime.Context, req *types.SyncRequest) {
-	if n.cfg.Reputation && req.From == req.To && req.Lane != n.cfg.Self {
-		// A point request for another lane's tip means a replica could
-		// not vote on an optimistic tip we (presumably, as leader)
-		// proposed: downgrade the lane's standing (§B.1).
-		n.reputation[req.Lane] -= repPenalty
-		if n.reputation[req.Lane] < 0 {
-			n.reputation[req.Lane] = 0
-		}
-	}
-	for _, rep := range fetch.Serve(n.lanes.Store(), req) {
-		n.stats.SyncRepliesServed.Add(1)
-		ctx.Send(req.Requester, rep)
-	}
-}
-
-func (n *Node) handleSyncReply(ctx runtime.Context, from types.NodeID, rep *types.SyncReply) {
-	if fetch.ValidateChain(rep) != nil {
-		return
-	}
-	for _, p := range rep.Proposals {
-		// Feed synced proposals through the normal lane path: the store
-		// absorbs them and FIFO voting resumes where possible. That holds
-		// for a late reply to an abandoned request too — ingestion is
-		// idempotent and execution may be waiting on the data.
-		n.handleProposal(ctx, from, p, false)
-	}
-	n.syncIngested(ctx, from, rep)
-}
-
 // syncIngested reconciles an ingested sync reply with the fetch manager,
 // sends the follow-up request when the reply ended a served window, and
-// resumes execution. Both data planes end here — the classic handler
-// above and the shard's syncDone notice — so catch-up is scheduled in one
-// place. Ingestion comes first on both: each ingested car re-evaluates
-// what execution still lacks, and must find the cars behind it in the
-// same reply still covered by the stream, not missing.
+// resumes execution — the control half of shardState.handleSyncReply,
+// reached through its syncDone notice. Ingestion came first: what
+// execution still lacks is re-evaluated against a store that already
+// holds the reply's cars.
 func (n *Node) syncIngested(ctx runtime.Context, from types.NodeID, rep *types.SyncReply) {
 	next, err := n.fetcher.OnReply(ctx.Now(), from, rep)
 	n.request(ctx, next)
 	if err == nil || err == fetch.ErrUnsolicited {
 		n.drainExecution(ctx)
 	}
-}
-
-func (n *Node) retryPendingVotes() {
-	// Consensus votes blocked on tip data retry whenever data arrives;
-	// the engine ignores slots without pending votes.
-	n.engine.RetryPendingVotes()
 }
 
 // --- commit & execution ---
@@ -1065,24 +882,13 @@ func (n *Node) drainExecution(ctx runtime.Context) {
 			}
 		}
 		// Inform the lane layer of new committed frontiers (vote-frontier
-		// adoption + fork GC, §A.4). Under the sharded data plane the
-		// peer-lane views are shard-owned, so the frontier travels there
-		// as a message; applying it asynchronously is safe — it only
-		// advances GC and vote-frontier adoption, both monotonic.
+		// adoption + fork GC, §A.4). The lane views are shard-owned, so the
+		// frontier travels there as a message; applying it asynchronously
+		// (under workers) is safe — it only advances GC and vote-frontier
+		// adoption, both monotonic.
 		for _, l := range n.cfg.Committee.Nodes() {
 			if pos := n.orderer.LastCommit(l); pos > 0 {
-				if n.sharded {
-					ctx.Send(n.cfg.Self, &frontierMsg{lane: l, pos: pos, digest: n.orderer.FrontierDigest(l)})
-				} else {
-					// Own-lane commits can retire wedged outstanding cars
-					// (commit overtaking certification after a restart) and
-					// unblock fresh proposals — broadcast them like any
-					// other production.
-					for _, p := range n.lanes.OnCommitted(l, pos, n.orderer.FrontierDigest(l)) {
-						n.stats.BatchesProposed.Add(1)
-						ctx.Broadcast(p)
-					}
-				}
+				n.toShard(ctx, &frontierMsg{lane: l, pos: pos, digest: n.orderer.FrontierDigest(l)})
 			}
 		}
 		// Persist the execution frontier: a restarted replica resumes here
@@ -1211,19 +1017,10 @@ type cutProvider Node
 func (c *cutProvider) node() *Node { return (*Node)(c) }
 
 func (c *cutProvider) AssembleCut(optimistic bool) types.Cut {
+	// Cut assembly must not read shard-owned lane state: the control
+	// plane's notice-fed tip snapshot stands in for it.
 	nd := c.node()
-	if nd.sharded {
-		// Cut assembly must not read shard-owned lane state: the control
-		// plane's notice-fed tip snapshot stands in for it.
-		return nd.tips.assemble(nd.cfg.Self, c.optimisticFor(optimistic))
-	}
-	if !optimistic {
-		return nd.lanes.AssembleCut(false)
-	}
-	if !nd.cfg.Reputation {
-		return nd.lanes.AssembleCut(true)
-	}
-	return nd.lanes.AssembleCutFunc(c.optimisticFor(true))
+	return nd.tips.assemble(nd.cfg.Self, c.optimisticFor(optimistic))
 }
 
 // optimisticFor returns the per-lane optimism predicate.
@@ -1272,13 +1069,7 @@ func (c *cutProvider) NewTipCount(base []types.Pos) int {
 	count := 0
 	for i, b := range base {
 		l := types.NodeID(i)
-		var tip types.TipRef
-		if nd.sharded {
-			tip = nd.tips.cutTip(nd.cfg.Self, l, c.optimistic(l))
-		} else {
-			tip = nd.lanes.CutTip(l, nd.cfg.OptimisticTips)
-		}
-		if tip.Position > b {
+		if nd.tips.cutTip(nd.cfg.Self, l, c.optimistic(l)).Position > b {
 			count++
 		}
 	}

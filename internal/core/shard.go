@@ -1,19 +1,20 @@
-// Sharded data plane (runtime.Sharder implementation): Autobahn's §4
-// architecture makes data dissemination embarrassingly parallel per lane,
-// and this file exploits that on multi-core replicas. Lane traffic —
-// cars, lane votes, PoAs, sync requests and sync payloads — is routed by
-// the transport loop to W worker shards (lane i → shard i mod W, so each
-// lane's FIFO order is preserved by construction), while consensus,
-// certificates, commit notices, ordering and timers stay on the single
-// serialized control loop.
+// The data plane (runtime.Sharder implementation): Autobahn's §4
+// architecture makes data dissemination embarrassingly parallel per lane
+// while consensus must stay serialized, and this file is the lane half of
+// that split. Lane traffic — cars, lane votes, PoAs, sync requests and
+// sync payloads — is handled by W = max(Config.Shards, 1) shardStates
+// (lane i → shard i mod W, so each lane's FIFO order is preserved by
+// construction); consensus, certificates, commit notices, ordering and
+// timers are handled by the control plane in node.go. There is one set of
+// lane handlers, and it lives here.
 //
 // Ownership is strict: shard i alone touches the peer-lane views of its
 // lanes (and, for the shard owning this replica's own lane, the own-lane
-// production state); the control plane alone touches the consensus
-// engine, orderer, fetcher and reputation. The only shared mutable
-// structures are the proposal store and the journal, both internally
-// synchronized. Everything else crosses the boundary by message passing
-// over the normal delivery path, as self-addressed MsgInternal notices:
+// production and retransmit state); the control plane alone touches the
+// consensus engine, orderer, fetcher and reputation. The only shared
+// mutable structures are the proposal store and the journal, both
+// internally synchronized. Everything else crosses the boundary as one
+// of five handoff messages:
 //
 //	shard → control: laneNotice (new certified/optimistic tips, data
 //	                 arrival, detected gaps, reputation events),
@@ -24,14 +25,30 @@
 //
 // The control plane keeps its own snapshot of every lane's tips (the
 // tipTable), updated exclusively from these notices, and assembles
-// consensus cuts from it — so the consensus engine never reads
-// shard-owned lane state. Notices are coalesced per shard burst (one
-// laneNotice per lane per FlushShard) to keep the control loop's event
-// rate independent of the data rate.
+// consensus cuts and counts coverage from it — so the consensus engine
+// never reads shard-owned lane state. Notices are coalesced per flush
+// (one laneNotice per lane) to keep the control plane's event rate
+// independent of the data rate.
 //
-// With Config.Shards <= 1 none of this is active and the node behaves
-// exactly as the classic single-threaded protocol — the discrete-event
-// simulator always runs in that mode.
+// The handoff has two deliveries, and they are all that distinguishes
+// the two ways a node runs:
+//
+//   - Workers (Config.Shards > 1 under a runtime that honors
+//     runtime.Sharder): each shard runs on its own goroutine, fed by
+//     OnShardMessage / OnShardBatch and flushed per burst by FlushShard.
+//     A handoff is a self-addressed MsgInternal send over the normal
+//     delivery path (toControl, toShard).
+//   - Inline (no workers: the simulator, Shards <= 1, adversary
+//     wrappers, any runtime without Sharder): a data-plane message
+//     arrives in OnMessage and its shard handler runs right there, on
+//     the control goroutine, followed at once by the shard's notice
+//     flush. With Shards <= 1 a handoff is a direct call; with Shards > 1
+//     it stays a self-addressed send, which the runtime delivers back
+//     through OnMessage. Single-threaded, so shard ownership holds
+//     vacuously. The handler runs under the control loop's own context:
+//     with group commit its sends join the control plane's gated queue
+//     and leave behind the one Journal.Sync of the burst's Flush — an
+//     inline event costs no durability barrier of its own.
 package core
 
 import (
@@ -57,8 +74,8 @@ type laneNotice struct {
 	// retries, execution draining and coverage may all be unblocked).
 	dataArrived bool
 	// certAdvanced reports a standalone PoA advanced the lane's certified
-	// tip without any data arriving (idle-lane certification): the
-	// consensus engine must still be poked, as the classic path does.
+	// tip without any data arriving (idle-lane certification): coverage
+	// may have moved, so the consensus engine must still be poked.
 	certAdvanced bool
 	// hasGap reports a buffered out-of-order proposal; [gapFrom, gapTo]
 	// anchored at gapAnchor is the missing range to fetch, as of the flush.
@@ -67,7 +84,7 @@ type laneNotice struct {
 	gapAnchor      types.TipRef
 	// repPenalties counts critical-path tip syncs served during the burst
 	// (§B.1): the control plane downgrades the lane's reputation once per
-	// served sync, exactly as the classic path does.
+	// served sync.
 	repPenalties int
 }
 
@@ -141,7 +158,10 @@ func (t *tipTable) updateLane(l types.NodeID, cert, opt types.TipRef) {
 	}
 }
 
-// assemble mirrors lane.State.AssembleCutFunc over the snapshot.
+// assemble builds this replica's current view of all lanes, for use as a
+// consensus proposal (§5.2), with per-lane optimism — the hook for the
+// §B.1 reputation mechanism, which falls back to certified tips for lanes
+// that recently forced critical-path synchronization.
 func (t *tipTable) assemble(self types.NodeID, optimisticFor func(types.NodeID) bool) types.Cut {
 	tips := make([]types.TipRef, len(t.cert))
 	for i := range tips {
@@ -151,7 +171,10 @@ func (t *tipTable) assemble(self types.NodeID, optimisticFor func(types.NodeID) 
 	return types.Cut{Tips: tips}
 }
 
-// cutTip mirrors lane.State.CutTip over the snapshot.
+// cutTip returns the tip a cut assembled now would carry for lane l: the
+// leader tip for the own lane, else the optimistic or the certified tip.
+// The coverage count reads it per lane on every start evaluation, so it
+// builds nothing.
 func (t *tipTable) cutTip(self, l types.NodeID, optimistic bool) types.TipRef {
 	switch {
 	case l == self:
@@ -168,33 +191,36 @@ func (t *tipTable) cutTip(self, l types.NodeID, optimistic bool) types.TipRef {
 	}
 }
 
-// --- per-shard worker state ---
+// --- per-shard state ---
 
-// shardState is the data owned by one shard worker: its gated sends
-// (group commit) and its coalesced, not-yet-flushed control notices.
-// Only that worker's goroutine touches it (the classic single-threaded
-// fallback in OnMessage runs on the control goroutine, which under an
-// unsharded runtime is the only goroutine).
+// shardState is the data owned by one shard: its gated sends (group
+// commit, worker delivery only), its coalesced, not-yet-flushed control
+// notices and — on the own-lane shard — the retransmit bookkeeping. Only
+// the goroutine running the shard touches it: its worker, or the control
+// goroutine when handlers run inline.
 type shardState struct {
-	n   *Node
-	idx int
+	n *Node
 
 	gate    gatedContext
 	pending []pendingSend
 
-	// Coalesced per-burst notices: one laneNotice per lane, merged across
-	// the burst's events, flushed (and tip snapshots taken) in FlushShard.
+	// Coalesced notices: one laneNotice per lane, merged across the events
+	// since the last flush. order fixes a deterministic flush order; next
+	// is flushNotices' cursor into it (see there for why it is state and
+	// not a loop variable).
 	notices  map[types.NodeID]*laneNotice
-	order    []types.NodeID // deterministic flush order
+	order    []types.NodeID
+	next     int
 	ownDirty bool
 
 	// lastRetxPos tracks the outstanding own car seen at the previous
-	// retransmit tick (own-lane shard only).
+	// retransmit tick (own-lane shard only): it is re-broadcast only if
+	// still stuck a tick later.
 	lastRetxPos types.Pos
 }
 
-// wrap installs group-commit gating around ctx for the duration of one
-// shard event handler, mirroring Node.enter for the control loop.
+// wrap installs group-commit gating around a worker's ctx for the
+// duration of one shard event, as Node.enter does for the control loop.
 func (sh *shardState) wrap(ctx runtime.Context) runtime.Context {
 	if !sh.n.cfg.GroupCommit {
 		return ctx
@@ -215,6 +241,29 @@ func (sh *shardState) note(l types.NodeID) *laneNotice {
 	return no
 }
 
+// --- the two deliveries ---
+
+// toControl hands a notice from a shard to the control plane.
+func (sh *shardState) toControl(ctx runtime.Context, m types.Message) {
+	if sh.n.sharded {
+		ctx.Send(sh.n.cfg.Self, m) // short-circuits in every mesh
+	} else {
+		sh.n.onNotice(ctx, m)
+	}
+}
+
+// toShard hands a frontierMsg or retxMsg from the control plane to the
+// shard that owns its lane.
+func (n *Node) toShard(ctx runtime.Context, m types.Message) {
+	if n.sharded {
+		ctx.Send(n.cfg.Self, m)
+		return
+	}
+	sh := n.shards[n.laneShard(m)]
+	sh.handle(ctx, n.cfg.Self, m)
+	sh.flushNotices(ctx)
+}
+
 // --- runtime.Sharder implementation on Node ---
 
 var _ runtime.Sharder = (*Node)(nil)
@@ -228,8 +277,10 @@ func (n *Node) BatchShard() int {
 	if !n.sharded {
 		return -1
 	}
-	return int(n.cfg.Self) % n.cfg.Shards
+	return n.ownShard()
 }
+
+func (n *Node) ownShard() int { return int(n.cfg.Self) % len(n.shards) }
 
 // ShardOf implements runtime.Sharder: data-plane traffic is owned by its
 // lane's shard; everything else (consensus, commit catch-up, internal
@@ -238,7 +289,13 @@ func (n *Node) ShardOf(_ types.NodeID, m types.Message) int {
 	if !n.sharded {
 		return -1
 	}
-	w := n.cfg.Shards
+	return n.laneShard(m)
+}
+
+// laneShard returns the shard that owns a data-plane message's lane, -1
+// for a control-plane message.
+func (n *Node) laneShard(m types.Message) int {
+	w := len(n.shards)
 	switch v := m.(type) {
 	case *types.Proposal:
 		return int(v.Lane) % w
@@ -253,7 +310,7 @@ func (n *Node) ShardOf(_ types.NodeID, m types.Message) int {
 	case *frontierMsg:
 		return int(v.lane) % w
 	case *retxMsg:
-		return n.BatchShard()
+		return n.ownShard()
 	default:
 		return -1
 	}
@@ -263,7 +320,76 @@ func (n *Node) ShardOf(_ types.NodeID, m types.Message) int {
 // owning shard's worker goroutine.
 func (n *Node) OnShardMessage(ctx runtime.Context, shard int, from types.NodeID, m types.Message) {
 	sh := n.shards[shard]
-	ctx = sh.wrap(ctx)
+	sh.handle(sh.wrap(ctx), from, m)
+}
+
+// OnShardBatch implements runtime.Sharder: own-lane car production.
+func (n *Node) OnShardBatch(ctx runtime.Context, shard int, b *types.Batch) {
+	sh := n.shards[shard]
+	sh.addBatch(sh.wrap(ctx), b)
+}
+
+// FlushShard implements runtime.Sharder: the per-shard burst barrier.
+// Order matters — journal sync first (write-before-externalize), then
+// the burst's gated sends, then the coalesced control notices (whose tip
+// snapshots are taken now, after every event of the burst applied).
+func (n *Node) FlushShard(ctx runtime.Context, shard int) {
+	sh := n.shards[shard]
+	if n.cfg.GroupCommit {
+		// A failed barrier is replica-fatal, exactly as in Flush: this
+		// shard's gated sends are dropped, never released.
+		if err := n.cfg.Journal.Sync(); err != nil {
+			n.fatal(err)
+		}
+	}
+	if n.release(ctx, &sh.pending) {
+		sh.flushNotices(ctx)
+	}
+}
+
+// flushNotices snapshots tips and hands the coalesced notices to the
+// control plane.
+//
+// It is re-entrant. Delivered inline, a notice can drain execution, which
+// returns a frontier to this same shard (toShard), whose flush lands here
+// again while the outer call is mid-queue. So the queue is consumed
+// through the shard's cursor, each notice unlinked before it is handed
+// over: the inner call continues where the outer one stands — and picks
+// up anything queued since — and the outer call then finds nothing left.
+// Every notice is delivered exactly once, in queue order.
+func (sh *shardState) flushNotices(ctx runtime.Context) {
+	n := sh.n
+	for sh.next < len(sh.order) {
+		l := sh.order[sh.next]
+		sh.next++
+		no := sh.notices[l]
+		delete(sh.notices, l)
+		no.cert = n.lanes.CertifiedTip(l)
+		no.opt = n.lanes.OptimisticTip(l)
+		if no.hasGap {
+			// The gap as it stands now: a sync reply later in the burst may
+			// have closed it, and its syncDone is already on its way to the
+			// control plane — a stale range arriving behind it would be
+			// fetched a second time.
+			no.gapFrom, no.gapTo, no.gapAnchor, no.hasGap = n.lanes.BufferedGap(l)
+		}
+		sh.toControl(ctx, no)
+	}
+	sh.order, sh.next = sh.order[:0], 0
+	if sh.ownDirty {
+		sh.ownDirty = false
+		sh.toControl(ctx, &ownTipNotice{
+			tip:  n.lanes.OptimisticTip(n.cfg.Self),
+			cert: n.lanes.CertifiedTip(n.cfg.Self),
+		})
+	}
+}
+
+// --- lane handlers (they touch no control-owned state) ---
+
+// handle runs one data-plane event on its lane's shard.
+func (sh *shardState) handle(ctx runtime.Context, from types.NodeID, m types.Message) {
+	n := sh.n
 	switch msg := m.(type) {
 	case *types.Proposal:
 		sh.handleProposal(ctx, msg, true)
@@ -282,106 +408,47 @@ func (n *Node) OnShardMessage(ctx runtime.Context, shard int, from types.NodeID,
 	case *types.SyncReply:
 		sh.handleSyncReply(ctx, from, msg)
 	case *frontierMsg:
-		// An own-lane frontier rides to the own-lane shard (ShardOf keys
-		// on the lane), where retiring commit-overtaken outstanding cars
-		// may unblock fresh proposals — broadcast them from here, exactly
-		// as handleVote does on this shard.
+		// Vote-frontier adoption + fork GC (§A.4). An own-lane frontier
+		// rides to the own-lane shard (laneShard keys on the lane), where
+		// retiring commit-overtaken outstanding cars (commit overtaking
+		// certification after a restart) may unblock fresh proposals —
+		// broadcast them like any other production.
 		for _, p := range n.lanes.OnCommitted(msg.lane, msg.pos, msg.digest) {
-			n.stats.BatchesProposed.Add(1)
-			ctx.Broadcast(p)
-			sh.ownDirty = true
+			sh.broadcastCar(ctx, p)
 		}
 	case *retxMsg:
 		sh.retransmit(ctx)
 	}
 }
 
-// OnShardBatch implements runtime.Sharder: own-lane car production.
-func (n *Node) OnShardBatch(ctx runtime.Context, shard int, b *types.Batch) {
-	sh := n.shards[shard]
-	ctx = sh.wrap(ctx)
-	if p := n.lanes.AddBatch(b); p != nil {
-		n.stats.BatchesProposed.Add(1)
-		ctx.Broadcast(p)
-		sh.ownDirty = true
+// addBatch feeds a sealed client batch into the own lane (§5.1 step 1).
+func (sh *shardState) addBatch(ctx runtime.Context, b *types.Batch) {
+	if p := sh.n.lanes.AddBatch(b); p != nil {
+		sh.broadcastCar(ctx, p)
 	}
 }
 
-// FlushShard implements runtime.Sharder: the per-shard burst barrier.
-// Order matters — journal sync first (write-before-externalize), then
-// the burst's gated sends, then the coalesced control notices (whose tip
-// snapshots are taken now, after every event of the burst applied).
-func (n *Node) FlushShard(ctx runtime.Context, shard int) {
-	sh := n.shards[shard]
-	if n.cfg.GroupCommit {
-		// A failed barrier is replica-fatal, exactly as in Flush: this
-		// shard's gated sends are dropped, never released.
-		if err := n.cfg.Journal.Sync(); err != nil {
-			n.fatal(err)
-		}
-	}
-	if n.halted.Load() {
-		n.dropPending(&sh.pending)
-		return
-	}
-	if len(sh.pending) > 0 {
-		pend := sh.pending
-		sh.pending = sh.pending[:0]
-		for i := range pend {
-			if pend[i].broadcast {
-				ctx.Broadcast(pend[i].msg)
-			} else {
-				ctx.Send(pend[i].to, pend[i].msg)
-			}
-			pend[i] = pendingSend{}
-		}
-	}
-	sh.flushNotices(ctx)
+// broadcastCar sends a freshly started own car.
+func (sh *shardState) broadcastCar(ctx runtime.Context, p *types.Proposal) {
+	sh.n.stats.BatchesProposed.Add(1)
+	ctx.Broadcast(p)
+	sh.ownDirty = true
 }
 
-// flushNotices snapshots tips and hands the burst's coalesced notices to
-// the control plane (self-addressed sends short-circuit in every mesh).
-func (sh *shardState) flushNotices(ctx runtime.Context) {
-	n := sh.n
-	for _, l := range sh.order {
-		no := sh.notices[l]
-		delete(sh.notices, l)
-		no.cert = n.lanes.CertifiedTip(l)
-		no.opt = n.lanes.OptimisticTip(l)
-		if no.hasGap {
-			// The gap as it stands now: a sync reply later in the burst may
-			// have closed it, and its syncDone is already on its way to the
-			// control plane — a stale range arriving behind it would be
-			// fetched a second time.
-			no.gapFrom, no.gapTo, no.gapAnchor, no.hasGap = n.lanes.BufferedGap(l)
-		}
-		ctx.Send(n.cfg.Self, no)
-	}
-	sh.order = sh.order[:0]
-	if sh.ownDirty {
-		sh.ownDirty = false
-		ctx.Send(n.cfg.Self, &ownTipNotice{
-			tip:  n.lanes.OptimisticTip(n.cfg.Self),
-			cert: n.lanes.CertifiedTip(n.cfg.Self),
-		})
-	}
-}
-
-// --- shard-side handlers (mirrors of the classic control handlers,
-//     minus every touch of control-owned state) ---
-
-// handleProposal ingests a car on its lane's shard: FIFO votes go out
-// directly; consensus-side consequences (fetch cancellation, vote
+// handleProposal ingests a car (live broadcast or synced): FIFO votes go
+// out directly; consensus-side consequences (fetch cancellation, vote
 // retries, execution draining, gap fetches) ride the coalesced notice.
 func (sh *shardState) handleProposal(ctx runtime.Context, p *types.Proposal, live bool) {
 	n := sh.n
 	n.countArrival(p, live)
 	if p.Lane == n.cfg.Self {
-		// Own-lane sync delivery (amnesia catch-up / lost self-fork): it
-		// routes to the own-lane shard (ShardOf keys on the lane), so the
-		// production state read in flushNotices stays shard-owned; the
-		// ingest itself is store-only. dataArrived makes the control plane
-		// re-drain execution, which is what the data was fetched for.
+		// Own-lane data arriving from outside: meaningless on the live path
+		// (peers do not re-broadcast our cars), but sync deliveries must be
+		// ingested store-only so execution of a committed own-lane chain
+		// this replica no longer (amnesia) or never (a lost self-fork)
+		// possessed can proceed — see lane.IngestOwn. dataArrived makes the
+		// control plane re-drain execution, which is what the data was
+		// fetched for.
 		if !live && n.lanes.IngestOwn(p) == nil {
 			sh.note(p.Lane).dataArrived = true
 		}
@@ -404,31 +471,44 @@ func (sh *shardState) handleProposal(ctx runtime.Context, p *types.Proposal, liv
 	}
 }
 
-// handleVote processes a vote for an own car on the own-lane shard.
+// countArrival feeds the sync-traffic counters; it must run before the
+// proposal is stored.
+func (n *Node) countArrival(p *types.Proposal, live bool) {
+	if p.Batch == nil {
+		return
+	}
+	if !live {
+		n.stats.SyncBytesReceived.Add(p.Batch.Bytes)
+	}
+	if n.lanes.Store().Has(p.Lane, p.Position, p.Digest()) {
+		n.stats.DataBytesRedundant.Add(p.Batch.Bytes)
+	}
+}
+
+// handleVote processes a vote for an own car.
 func (sh *shardState) handleVote(ctx runtime.Context, v *types.Vote) {
-	n := sh.n
-	props, poa, err := n.lanes.OnVote(v)
+	props, poa, err := sh.n.lanes.OnVote(v)
 	if err != nil {
 		return
 	}
 	for _, p := range props {
-		n.stats.BatchesProposed.Add(1)
-		ctx.Broadcast(p)
+		sh.broadcastCar(ctx, p)
 	}
 	if poa != nil {
 		ctx.Broadcast(poa)
-	}
-	if len(props) > 0 || poa != nil {
 		sh.ownDirty = true
 	}
 }
 
-// serveSync serves lane history straight off the shard — the multi-MB
-// reply encoding this triggers in the mesh runs here too, not on the
-// control loop. Reputation consequences hand off to control.
+// serveSync serves lane history straight off the shard — under workers
+// the multi-MB reply encoding this triggers in the mesh runs here too,
+// not on the control loop. Reputation consequences hand off to control.
 func (sh *shardState) serveSync(ctx runtime.Context, req *types.SyncRequest) {
 	n := sh.n
 	if n.cfg.Reputation && req.From == req.To && req.Lane != n.cfg.Self {
+		// A point request for another lane's tip means a replica could
+		// not vote on an optimistic tip we (presumably, as leader)
+		// proposed: the lane's standing drops (§B.1).
 		sh.note(req.Lane).repPenalties++
 	}
 	for _, rep := range fetch.Serve(n.lanes.Store(), req) {
@@ -437,17 +517,20 @@ func (sh *shardState) serveSync(ctx runtime.Context, req *types.SyncRequest) {
 	}
 }
 
-// handleSyncReply ingests a sync reply's proposals into lane state on
-// the shard (votes, buffering, store) and forwards the reply envelope to
-// the control plane, where the fetch manager reconciles it against its
-// outstanding requests and execution resumes.
+// handleSyncReply feeds a sync reply's proposals through the normal lane
+// path (the store absorbs them and FIFO voting resumes where possible —
+// a late reply to an abandoned request too: ingestion is idempotent and
+// execution may be waiting on the data) and forwards the reply envelope
+// to the control plane, where the fetch manager reconciles it against its
+// outstanding requests and execution resumes. The syncDone goes ahead of
+// the lane's coalesced notice on both deliveries — sent here, flushed
+// later — so the reply is never flushed from inside this handler.
 //
-// Chain validation runs FIRST, on the shard: beyond matching the
-// classic path (which only ever ingested chain-valid replies), it is a
-// shard-safety requirement — a hostile reply mixing lanes would
-// otherwise make this worker touch peer-lane state owned by another
-// shard. Invalid replies are dropped whole; the outstanding fetch
-// retries from its tick, exactly as before.
+// Chain validation runs FIRST: only chain-valid replies are ever
+// ingested, and under workers it is a shard-safety requirement too — a
+// hostile reply mixing lanes would otherwise make this worker touch
+// peer-lane state owned by another shard. Invalid replies are dropped
+// whole; the outstanding fetch retries from its tick.
 func (sh *shardState) handleSyncReply(ctx runtime.Context, from types.NodeID, rep *types.SyncReply) {
 	if err := fetch.ValidateChain(rep); err != nil {
 		return
@@ -458,12 +541,11 @@ func (sh *shardState) handleSyncReply(ctx runtime.Context, from types.NodeID, re
 		}
 		sh.handleProposal(ctx, p, false)
 	}
-	ctx.Send(sh.n.cfg.Self, &syncDone{from: from, rep: rep})
+	sh.toControl(ctx, &syncDone{from: from, rep: rep})
 }
 
 // retransmit re-broadcasts the oldest outstanding own car if it is still
-// stuck a full tick later (control forwards the timer here because the
-// outstanding-car state is shard-owned).
+// stuck a full tick later: it has likely lost its broadcast or its votes.
 func (sh *shardState) retransmit(ctx runtime.Context) {
 	n := sh.n
 	if p := n.lanes.OldestOutstanding(); p != nil {
@@ -478,6 +560,19 @@ func (sh *shardState) retransmit(ctx runtime.Context) {
 
 // --- control-side notice handlers ---
 
+// onNotice applies one shard → control handoff to control state.
+func (n *Node) onNotice(ctx runtime.Context, m types.Message) {
+	switch msg := m.(type) {
+	case *laneNotice:
+		n.onLaneNotice(ctx, msg)
+	case *ownTipNotice:
+		n.tips.ownTip, n.tips.ownCert = msg.tip, msg.cert
+		n.engine.OnTipsAdvanced() // own leader tip advanced
+	case *syncDone:
+		n.syncIngested(ctx, msg.from, msg.rep)
+	}
+}
+
 // onLaneNotice applies one lane's shard progress to control state.
 func (n *Node) onLaneNotice(ctx runtime.Context, msg *laneNotice) {
 	n.tips.updateLane(msg.lane, msg.cert, msg.opt)
@@ -491,20 +586,25 @@ func (n *Node) onLaneNotice(ctx runtime.Context, msg *laneNotice) {
 		n.fetcher.NoteLive(ctx.Now(), msg.lane, msg.livePos)
 	}
 	if msg.hasGap {
-		n.wantGapAt(ctx, msg.lane, msg.gapFrom, msg.gapTo, msg.gapAnchor)
+		// Ask for the hole beneath the lane's buffered live cars, targeting
+		// the certifiers of the lowest buffered proposal's parent (at least
+		// one is correct and, by FIFO voting, holds the whole history).
+		targets := []types.NodeID{msg.lane}
+		if msg.gapAnchor.Cert != nil {
+			targets = append(msg.gapAnchor.Cert.Signers(), msg.lane)
+		}
+		n.request(ctx, n.fetcher.Want(ctx.Now(), msg.lane, msg.gapFrom, msg.gapTo, msg.gapAnchor.Digest, targets))
 	}
 	if msg.dataArrived {
 		// Data arrival can unblock pending consensus votes and execution,
-		// and new certified tips advance coverage — same consequences the
-		// classic handler applies inline.
+		// and new certified tips (carried as ParentPoA) advance coverage.
 		n.fetcher.Settle(msg.lane, n.lanes.Store().Has)
 		n.engine.OnTipsAdvanced()
-		n.retryPendingVotes()
+		n.engine.RetryPendingVotes() // ignores slots without pending votes
 		n.drainExecution(ctx)
 	} else if msg.certAdvanced {
 		// Standalone PoA on an otherwise idle lane: the certified tip
-		// moved, so coverage may have (the classic PoA handler pokes the
-		// engine unconditionally).
+		// moved, so coverage may have.
 		n.engine.OnTipsAdvanced()
 	}
 }

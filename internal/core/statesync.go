@@ -254,14 +254,7 @@ func (n *Node) installSnapshot(ctx runtime.Context, man *exec.Manifest, state []
 	n.orderer.InstallSnapshot(man.Next, man.Frontier, man.Digests)
 	for _, l := range n.cfg.Committee.Nodes() {
 		if pos := man.Frontier[l]; pos > 0 {
-			if n.sharded {
-				ctx.Send(n.cfg.Self, &frontierMsg{lane: l, pos: pos, digest: man.Digests[l]})
-			} else {
-				for _, p := range n.lanes.OnCommitted(l, pos, man.Digests[l]) {
-					n.stats.BatchesProposed.Add(1)
-					ctx.Broadcast(p)
-				}
-			}
+			n.toShard(ctx, &frontierMsg{lane: l, pos: pos, digest: man.Digests[l]})
 		}
 		// Range fetches for history beneath the frontier are moot (and,
 		// against truncating peers, unservable); fetches spanning it are

@@ -158,8 +158,8 @@ func parseAck(body []byte) (seq uint64, status byte, retryAfterMs uint32, err er
 // envelopeMagic tags mempool transactions that entered through a
 // gateway, so the commit dispatcher can route acks with one parse
 // instead of hashing every committed payload. Transactions submitted
-// through other paths (bare Replica.Submit, autobahn-client without
-// -gateway) fail the tag check and are skipped.
+// through other paths (bare Replica.Submit from a library caller) fail
+// the tag check and are skipped.
 const envelopeMagic = 0xA7
 
 // envelopeOverhead is the envelope prefix: magic (1) + clientID (8) +

@@ -462,7 +462,7 @@ func (s *State) OnPoA(poa *types.PoA) error {
 	return nil
 }
 
-// --- tips, cuts, availability ---
+// --- tips, availability ---
 
 // CertifiedTip returns the highest certified tip known for a lane.
 func (s *State) CertifiedTip(l types.NodeID) types.TipRef {
@@ -484,50 +484,6 @@ func (s *State) OptimisticTip(l types.NodeID) types.TipRef {
 		return pv.optTip
 	}
 	return pv.certTip
-}
-
-// AssembleCut builds this replica's current view of all lanes, for use as
-// a consensus proposal (§5.2). With optimistic true, non-self lanes use
-// their highest received tip (uncertified); the replica's own lane always
-// uses the leader-tip rule (§5.5.2: a leader may reference its own latest
-// proposal uncertified — it only hurts itself by lying).
-func (s *State) AssembleCut(optimistic bool) types.Cut {
-	return s.AssembleCutFunc(func(types.NodeID) bool { return optimistic })
-}
-
-// AssembleCutFunc is AssembleCut with per-lane optimism — the hook for the
-// §B.1 reputation mechanism, which falls back to certified tips for lanes
-// that recently forced critical-path synchronization.
-func (s *State) AssembleCutFunc(optimisticFor func(types.NodeID) bool) types.Cut {
-	n := s.cfg.Committee.Size()
-	cut := types.Cut{Tips: make([]types.TipRef, n)}
-	for i := 0; i < n; i++ {
-		l := types.NodeID(i)
-		cut.Tips[i] = s.CutTip(l, l != s.cfg.Self && optimisticFor(l))
-	}
-	return cut
-}
-
-// CutTip returns the tip a cut assembled now would carry for lane l: the
-// leader tip for the own lane, else the optimistic or the certified tip.
-// The coverage count reads it per lane on every start evaluation, so it
-// builds nothing.
-func (s *State) CutTip(l types.NodeID, optimistic bool) types.TipRef {
-	switch {
-	case l == s.cfg.Self:
-		return s.leaderOwnTip()
-	case optimistic:
-		return s.OptimisticTip(l)
-	default:
-		return s.CertifiedTip(l)
-	}
-}
-
-func (s *State) leaderOwnTip() types.TipRef {
-	if s.ownTip.Position > s.ownCert.Position {
-		return s.ownTip // uncertified leader tip
-	}
-	return s.ownCert
 }
 
 // HasProposal reports whether the replica locally possesses the proposal

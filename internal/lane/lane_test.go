@@ -271,30 +271,6 @@ func TestOwnCommitRetiresOutstanding(t *testing.T) {
 	}
 }
 
-func TestAssembleCutModes(t *testing.T) {
-	states := newStates(t, 4, false)
-	driveCar(t, states, 1)
-	// A second proposal exists but is uncertified (no votes yet).
-	p2 := states[0].AddBatch(batch(0, 2))
-	if _, err := states[1].OnProposal(p2); err != nil {
-		t.Fatal(err)
-	}
-
-	cert := states[1].AssembleCut(false)
-	if cert.Tips[0].Position != 1 || !cert.Tips[0].Certified() {
-		t.Fatalf("certified cut tip = %+v", cert.Tips[0])
-	}
-	opt := states[1].AssembleCut(true)
-	if opt.Tips[0].Position != 2 || opt.Tips[0].Certified() {
-		t.Fatalf("optimistic cut tip = %+v", opt.Tips[0])
-	}
-	// The proposer's own cut uses its leader tip (uncertified allowed).
-	own := states[0].AssembleCut(false)
-	if own.Tips[0].Position != 2 {
-		t.Fatalf("leader tip = %+v", own.Tips[0])
-	}
-}
-
 func TestBufferedGapReportsRange(t *testing.T) {
 	states := newStates(t, 4, false)
 	p1 := driveCar(t, states, 1)
