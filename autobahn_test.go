@@ -13,6 +13,7 @@ func TestLiveClusterCommitsTransactions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	feed := replicaFeed(lc, 0)
 	lc.Start()
 	defer lc.Stop()
 
@@ -26,20 +27,17 @@ func TestLiveClusterCommitsTransactions(t *testing.T) {
 		}
 	}
 
-	deadline := time.After(15 * time.Second)
 	got := 0
-	for got < txs {
-		select {
-		case c := <-lc.Commits:
-			for _, tx := range c.Batch.Txs {
-				if want[string(tx)] {
-					delete(want, string(tx))
-					got++
-				}
+	if !feed.await(15*time.Second, func(c Committed) bool {
+		for _, tx := range c.Batch.Txs {
+			if want[string(tx)] {
+				delete(want, string(tx))
+				got++
 			}
-		case <-deadline:
-			t.Fatalf("timed out: committed %d of %d txs", got, txs)
 		}
+		return got == txs
+	}) {
+		t.Fatalf("timed out: committed %d of %d txs", got, txs)
 	}
 }
 
@@ -58,6 +56,7 @@ func TestLiveClusterShardedCommits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	feed := replicaFeed(lc, 0)
 	lc.Start()
 	defer lc.Stop()
 
@@ -68,14 +67,11 @@ func TestLiveClusterShardedCommits(t *testing.T) {
 		}
 	}
 	got := 0
-	deadline := time.After(30 * time.Second)
-	for got < txs {
-		select {
-		case c := <-lc.Commits:
-			got += int(c.Batch.Count)
-		case <-deadline:
-			t.Fatalf("committed only %d/%d transactions on the sharded cluster", got, txs)
-		}
+	if !feed.await(30*time.Second, func(c Committed) bool {
+		got += int(c.Batch.Count)
+		return got >= txs
+	}) {
+		t.Fatalf("committed only %d/%d transactions on the sharded cluster", got, txs)
 	}
 	// All four lanes must have progressed (submission was round-robin).
 	for i := 0; i < 4; i++ {
@@ -90,6 +86,7 @@ func TestLivePipelinePreVerifies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	feed := replicaFeed(lc, 0)
 	lc.Start()
 	defer lc.Stop()
 
@@ -98,15 +95,12 @@ func TestLivePipelinePreVerifies(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	deadline := time.After(15 * time.Second)
 	got := 0
-	for got < 100 {
-		select {
-		case c := <-lc.Commits:
-			got += len(c.Batch.Txs)
-		case <-deadline:
-			t.Fatalf("timed out: committed %d of 100 txs", got)
-		}
+	if !feed.await(15*time.Second, func(c Committed) bool {
+		got += len(c.Batch.Txs)
+		return got >= 100
+	}) {
+		t.Fatalf("timed out: committed %d of 100 txs", got)
 	}
 	for i := 0; i < 4; i++ {
 		hits, misses := lc.Node(types.NodeID(i)).PreVerifyStats()

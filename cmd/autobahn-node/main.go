@@ -8,8 +8,9 @@
 // a write-ahead log (the RocksDB substitute) before externalizing it: a
 // killed process restarted with the same -wal path recovers its voting
 // state and committed frontier, so it never contradicts a pre-crash vote
-// and rejoins the cluster seamlessly. Committed batch payloads are
-// additionally appended to <wal>.commits and summarized on stdout.
+// and rejoins the cluster seamlessly. Every committed batch payload is
+// additionally appended to <wal>.commits, and a stats line summarizes the
+// replica once a second.
 //
 // Example 4-replica deployment on one machine:
 //
@@ -32,6 +33,7 @@ import (
 	"os"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	autobahn "repro"
@@ -45,7 +47,7 @@ func main() {
 	peers := flag.String("peers", "", "comma-separated replica addresses ordered by ID")
 	walPath := flag.String("wal", "", "write-ahead log path for crash-restart recovery; committed batches go to <path>.commits (optional)")
 	timeout := flag.Duration("view-timeout", time.Second, "consensus view timeout")
-	quiet := flag.Bool("quiet", false, "suppress per-commit output")
+	quiet := flag.Bool("quiet", false, "suppress the once-a-second stats line")
 	pprofAddr := flag.String("pprof", "", "listen address for net/http/pprof live profiling, e.g. 127.0.0.1:6060 (optional)")
 	shards := flag.Int("shards", 0, "data-plane worker shards: lane traffic parallelism (0 = auto: one per core up to committee size, 1 = single-threaded)")
 	gossip := flag.Int("gossip", 0, "car gossip fanout k (0 = full-mesh broadcast); try log2(committee)+1 for large committees")
@@ -87,17 +89,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := replica.Start(); err != nil {
-		log.Fatal(err)
-	}
-	// A journal barrier failure is unrecoverable: the replica has already
-	// halted itself (un-journaled state must never externalize) — exit
-	// loudly so the operator restarts the process against the durable WAL.
-	go func() {
-		err := <-replica.Fatal()
-		logger.Fatalf("replica halted: journal failure: %v (restart with the same -wal to recover)", err)
-	}()
-	logger.Printf("replica %d listening on %s (committee of %d)", *id, addrs[types.NodeID(*id)], len(addrList))
 
 	var wal *storage.Store
 	if *walPath != "" {
@@ -110,6 +101,44 @@ func main() {
 		defer wal.Close()
 	}
 
+	// The observer is the replica's one commit stream and never drops, so
+	// the batch log records every commit. It runs on the replica's event
+	// loop: it only counts and appends (a buffered write); pruning and the
+	// stats line run on the ticker below.
+	var committedTx, committedBatches, lastSlot atomic.Uint64
+	replica.SetCommitObserver(func(c autobahn.Committed) {
+		committedBatches.Add(1)
+		committedTx.Add(uint64(c.Batch.Count))
+		lastSlot.Store(uint64(c.Slot))
+		if wal == nil {
+			return
+		}
+		key := make([]byte, 18)
+		binary.LittleEndian.PutUint64(key, uint64(c.Slot))
+		binary.LittleEndian.PutUint16(key[8:], uint16(c.Lane))
+		binary.LittleEndian.PutUint64(key[10:], uint64(c.Position))
+		var val []byte
+		for _, tx := range c.Batch.Txs {
+			val = binary.LittleEndian.AppendUint32(val, uint32(len(tx)))
+			val = append(val, tx...)
+		}
+		if err := wal.Put(key, val); err != nil {
+			logger.Printf("wal: %v", err)
+		}
+	})
+
+	if err := replica.Start(); err != nil {
+		log.Fatal(err)
+	}
+	// A journal barrier failure is unrecoverable: the replica has already
+	// halted itself (un-journaled state must never externalize) — exit
+	// loudly so the operator restarts the process against the durable WAL.
+	go func() {
+		err := <-replica.Fatal()
+		logger.Fatalf("replica halted: journal failure: %v (restart with the same -wal to recover)", err)
+	}()
+	logger.Printf("replica %d listening on %s (committee of %d)", *id, addrs[types.NodeID(*id)], len(addrList))
+
 	if *pprofAddr != "" {
 		go func() {
 			logger.Printf("pprof listening on http://%s/debug/pprof/", *pprofAddr)
@@ -119,61 +148,55 @@ func main() {
 		}()
 	}
 
-	var committedTx, committedBatches uint64
+	// Once a second, whether or not anything committed: a wedged replica
+	// keeps reporting exactly while it is stuck.
 	var prunedBelow types.Slot
-	lastReport := time.Now()
-	for c := range replica.Commits {
-		committedBatches++
-		committedTx += uint64(c.Batch.Count)
+	tick := time.NewTicker(time.Second)
+	defer tick.Stop()
+	for range tick.C {
+		// The snapshot subsumes batches beneath its frontier: prune the
+		// batch log in step with the replica's own truncation so the whole
+		// on-disk footprint — not just the protocol WAL — stays bounded.
+		// Every commit beneath the frontier was logged before the snapshot
+		// was taken. The frontier gauge is atomic, safe to poll here.
 		if wal != nil {
-			key := make([]byte, 18)
-			binary.LittleEndian.PutUint64(key, uint64(c.Slot))
-			binary.LittleEndian.PutUint16(key[8:], uint16(c.Lane))
-			binary.LittleEndian.PutUint64(key[10:], uint64(c.Position))
-			var val []byte
-			for _, tx := range c.Batch.Txs {
-				val = binary.LittleEndian.AppendUint32(val, uint32(len(tx)))
-				val = append(val, tx...)
-			}
-			if err := wal.Put(key, val); err != nil {
-				logger.Printf("wal: %v", err)
-			}
-			// The snapshot subsumes batches beneath its frontier: prune the
-			// batch log in step with the replica's own truncation so the
-			// whole on-disk footprint — not just the protocol WAL — stays
-			// bounded. The frontier gauge is atomic, safe to poll here.
 			if frontier := types.Slot(replica.Node().Stats().SnapshotFrontier); frontier > prunedBelow {
 				pruneCommits(wal, frontier, logger)
 				prunedBelow = frontier
 			}
-		}
-		if !*quiet && time.Since(lastReport) >= time.Second {
-			lastReport = time.Now()
-			var egress metrics.TransportSnapshot
-			for _, s := range replica.TransportStats() {
-				egress.Add(s)
+			// The process ends by signal, never through the deferred
+			// Close: flush so the log on disk trails by at most a second.
+			if err := wal.Flush(); err != nil {
+				logger.Printf("wal: %v", err)
 			}
-			loop := replica.LoopStats()
-			node := replica.Node().Stats()
-			var gw string
-			if g := replica.Gateway(); g != nil {
-				s := g.Stats()
-				gw = fmt.Sprintf("; gateway %d admitted/%d rejected/%d deduped, %d acked (mean %s), %d ack-drops",
-					s.Admitted, s.Rejected(), s.Deduped, s.Acked, s.AckLatencyMean.Round(time.Microsecond), s.AckDrops)
-			}
-			starts := replica.Node().Engine().StartCounts()
-			logger.Printf("committed %d txs in %d batches (slot %d); starts %d covered/%d lowered/%d backstop; egress ctl %d frames/%d flushes (%d delta), data %d frames/%d flushes, %d drops; ingress %d ctl/%d shard events, %d drops; gossip %d origin/%d relayed/%d dup-dropped; links %d dials/%d redials/%d stalls; sync %d requests (%d retries), %d B received, %d B redundant%s",
-				committedTx, committedBatches, c.Slot,
-				starts.Covered, starts.Lowered, starts.Backstop,
-				egress.Control.Frames, egress.Control.Flushes, egress.Control.DeltaFrames,
-				egress.Data.Frames, egress.Data.Flushes,
-				egress.Control.Drops+egress.Data.Drops,
-				loop.ControlEvents, loop.ShardEvents,
-				loop.InboxDrops+loop.ShardDrops,
-				loop.GossipOrigin, loop.GossipRelays, loop.GossipDupDrops,
-				loop.PeerDials, loop.PeerRedials, loop.PeerStalls,
-				node.SyncRequestsSent, node.SyncRetries, node.SyncBytesReceived, node.DataBytesRedundant, gw)
 		}
+		if *quiet {
+			continue
+		}
+		var egress metrics.TransportSnapshot
+		for _, s := range replica.TransportStats() {
+			egress.Add(s)
+		}
+		loop := replica.LoopStats()
+		node := replica.Node().Stats()
+		var gw string
+		if g := replica.Gateway(); g != nil {
+			s := g.Stats()
+			gw = fmt.Sprintf("; gateway %d admitted/%d rejected/%d deduped, %d acked (mean %s), %d ack-drops",
+				s.Admitted, s.Rejected(), s.Deduped, s.Acked, s.AckLatencyMean.Round(time.Microsecond), s.AckDrops)
+		}
+		starts := replica.Node().Engine().StartCounts()
+		logger.Printf("committed %d txs in %d batches (slot %d); starts %d covered/%d lowered/%d backstop; egress ctl %d frames/%d flushes (%d delta), data %d frames/%d flushes, %d drops; ingress %d ctl/%d shard events, %d drops; gossip %d origin/%d relayed/%d dup-dropped; links %d dials/%d redials/%d stalls; sync %d requests (%d retries), %d B received, %d B redundant, %d unservable%s",
+			committedTx.Load(), committedBatches.Load(), lastSlot.Load(),
+			starts.Covered, starts.Lowered, starts.Backstop,
+			egress.Control.Frames, egress.Control.Flushes, egress.Control.DeltaFrames,
+			egress.Data.Frames, egress.Data.Flushes,
+			egress.Control.Drops+egress.Data.Drops,
+			loop.ControlEvents, loop.ShardEvents,
+			loop.InboxDrops+loop.ShardDrops,
+			loop.GossipOrigin, loop.GossipRelays, loop.GossipDupDrops,
+			loop.PeerDials, loop.PeerRedials, loop.PeerStalls,
+			node.SyncRequestsSent, node.SyncRetries, node.SyncBytesReceived, node.DataBytesRedundant, node.HistoryUnservable, gw)
 	}
 }
 

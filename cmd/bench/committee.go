@@ -12,7 +12,7 @@
 // (64 tx) to keep the certificate-per-transaction ratio high — the
 // whole point is to surface verification and dissemination costs that
 // 1000-tx batches would amortize away. Commits are counted through the
-// synchronous observer; the Commits channel drops under backpressure.
+// synchronous observer, which never drops one.
 //
 // The gossip cells run a SINGLE-ORIGIN load (all clients hit replica 0)
 // and compare the busiest replica's data-plane egress per committed

@@ -8,6 +8,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	gort "runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -121,7 +122,8 @@ func runScaling(quick bool) {
 
 // liveThroughput runs one LiveCluster throughput point at the given
 // GOMAXPROCS: an unpaced submitter feeding all four replicas through
-// the bulk path, committed transactions counted at replica 0.
+// the bulk path, every committed transaction counted at replica 0 once
+// the backlog has drained.
 func liveThroughput(procs int, dur time.Duration) float64 {
 	prev := gort.GOMAXPROCS(procs)
 	defer gort.GOMAXPROCS(prev)
@@ -129,22 +131,15 @@ func liveThroughput(procs int, dur time.Duration) float64 {
 	if err != nil {
 		panic(err)
 	}
+	var committed atomic.Uint64
+	lc.SetCommitObserver(func(c autobahn.Committed) {
+		if c.Replica == 0 {
+			committed.Add(uint64(c.Batch.Count))
+		}
+	})
 	lc.Start()
 	defer lc.Stop()
 
-	var committed uint64
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			select {
-			case c := <-lc.Commits:
-				committed += uint64(c.Batch.Count)
-			case <-time.After(2 * time.Second):
-				return
-			}
-		}
-	}()
 	start := time.Now()
 	var sent uint64
 	burst := make([][]byte, 64)
@@ -159,6 +154,19 @@ func liveThroughput(procs int, dur time.Duration) float64 {
 		}
 		sent += uint64(len(burst))
 	}
-	<-done
-	return float64(committed) / dur.Seconds()
+	return float64(drained(&committed, 2*time.Second)) / dur.Seconds()
+}
+
+// drained waits until a commit counter has stood still for quiet and
+// returns its value.
+func drained(counter *atomic.Uint64, quiet time.Duration) uint64 {
+	last := counter.Load()
+	for {
+		time.Sleep(quiet)
+		now := counter.Load()
+		if now == last {
+			return now
+		}
+		last = now
+	}
 }

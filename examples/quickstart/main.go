@@ -1,7 +1,7 @@
 // Quickstart: a 4-replica Autobahn cluster running in-process in real
 // time with full ed25519 signing. Clients submit transactions to every
-// replica's lane; the cluster totally orders them and streams the commits
-// back in log order.
+// replica's lane; the cluster totally orders them and streams replica
+// 0's commits back in log order through the commit observer.
 package main
 
 import (
@@ -21,11 +21,21 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cluster.Start()
-	defer cluster.Stop()
 
 	// Submit 200 transactions round-robin across the four lanes.
 	const total = 200
+
+	// The observer runs on the replicas' event loops, so it only hands
+	// replica 0's commits over. Every batch holds at least one of the
+	// transactions, so the channel has room for all of them.
+	commits := make(chan autobahn.Committed, total)
+	cluster.SetCommitObserver(func(c autobahn.Committed) {
+		if c.Replica == 0 {
+			commits <- c
+		}
+	})
+	cluster.Start()
+	defer cluster.Stop()
 	start := time.Now()
 	for i := 0; i < total; i++ {
 		tx := fmt.Sprintf("transfer{from: acct%03d, to: acct%03d, amount: %d}", i, (i+7)%100, i*10)
@@ -38,7 +48,7 @@ func main() {
 	committed := 0
 	for committed < total {
 		select {
-		case c := <-cluster.Commits:
+		case c := <-commits:
 			committed += len(c.Batch.Txs)
 			fmt.Printf("slot %3d  lane %s pos %2d  +%4d txs  (%4d/%d total, %v elapsed)\n",
 				c.Slot, c.Lane, c.Position, len(c.Batch.Txs), committed, total,

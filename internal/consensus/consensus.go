@@ -1022,14 +1022,20 @@ func (e *Engine) deliverCommit(st *slotState, qc *types.CommitQC, prop *types.Co
 	e.evalStart(st.slot + types.Slot(e.cfg.MaxParallel))
 }
 
+// RetainSlots is how many slots of history a replica keeps beneath its
+// frontier: the engine's decided slot state here, and — with execution
+// off, where no checkpoint bounds it — the lane stores' committed cars
+// (core). A replica that falls further behind than this can no longer be
+// served the history it missed.
+const RetainSlots types.Slot = 256
+
 // gcSlots drops slot state far below the decided frontier. CommitQCs are
 // retained somewhat longer: commit of s transitively certifies s-k (§5.4).
 func (e *Engine) gcSlots() {
-	const keep = 256
-	if e.frontier <= keep {
+	if e.frontier <= RetainSlots {
 		return
 	}
-	cutoff := e.frontier - keep
+	cutoff := e.frontier - RetainSlots
 	for s := range e.slots {
 		if s < cutoff && e.slots[s].decided {
 			delete(e.slots, s)

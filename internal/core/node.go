@@ -287,6 +287,12 @@ type Stats struct {
 	DataBytesRedundant uint64
 	TimeoutsSent       uint64
 	SnapshotsInstalled uint64
+	// HistoryUnservable counts the catch-up streams execution was blocked
+	// on that went through a full silent rotation with no state sync to
+	// hand over to: with execution off, history more than
+	// consensus.RetainSlots slots beneath the peers is gone everywhere,
+	// and a replica that far behind stays there.
+	HistoryUnservable uint64
 	// SnapshotFrontier is the slot of the latest local snapshot (0 when
 	// none) — a gauge, not a counter, safe to poll from outside the
 	// node's event loop.
@@ -308,6 +314,7 @@ type nodeStats struct {
 	DataBytesRedundant atomic.Uint64
 	TimeoutsSent       atomic.Uint64
 	SnapshotsInstalled atomic.Uint64
+	HistoryUnservable  atomic.Uint64
 	SnapshotFrontier   atomic.Uint64
 }
 
@@ -326,6 +333,7 @@ func (s *nodeStats) snapshot() Stats {
 		DataBytesRedundant: s.DataBytesRedundant.Load(),
 		TimeoutsSent:       s.TimeoutsSent.Load(),
 		SnapshotsInstalled: s.SnapshotsInstalled.Load(),
+		HistoryUnservable:  s.HistoryUnservable.Load(),
 		SnapshotFrontier:   s.SnapshotFrontier.Load(),
 	}
 }
@@ -900,6 +908,7 @@ func (n *Node) drainExecution(ctx runtime.Context) {
 		}
 		n.cfg.Journal.Executed(n.orderer.NextExec(), n.orderer.Frontier(), n.orderer.FrontierDigests(), appHash, chainCount)
 		n.maybeSnapshot()
+		n.trimHistory()
 		n.engine.OnTipsAdvanced()
 	}
 	for _, m := range missing {

@@ -8,12 +8,15 @@
 // it the history it needs any more (stateSyncIfUnservable), joins in
 // O(state) instead of O(history): fetch the manifest, fetch and verify
 // each chunk, verify the assembled state hash, install, and resume
-// ordered replay from the snapshot frontier.
+// ordered replay from the snapshot frontier. With execution off there is
+// no checkpoint, and lane stores keep a window of recent slots instead
+// (trimHistory).
 package core
 
 import (
 	"sync"
 
+	"repro/internal/consensus"
 	"repro/internal/exec"
 	"repro/internal/runtime"
 	"repro/internal/types"
@@ -111,6 +114,33 @@ func (n *Node) maybeSnapshot() {
 	}
 }
 
+// trimHistory is the truncation line of a replica with execution off.
+// It has no checkpoint to truncate at, so without this its lane stores
+// would keep every car of the run; instead they keep the cars of the last
+// consensus.RetainSlots slots. Lane l drops the positions beneath its tip
+// in the cut of slot NextExec − RetainSlots: a peer fewer than
+// RetainSlots slots behind has executed that slot, so its frontier is at
+// or above every tip of that cut and it asks only for positions above.
+// The unit is slots, not positions, because that is what a lagging
+// replica misses — during view timeouts positions and slots drift apart.
+// The cut comes from the retained commit notice; a slot without one
+// (beneath a restart's replay) skips a round, which only keeps more.
+func (n *Node) trimHistory() {
+	next := n.orderer.NextExec()
+	if n.machine != nil || next <= consensus.RetainSlots {
+		return
+	}
+	notice := n.recentNotices[next-consensus.RetainSlots]
+	if notice == nil {
+		return
+	}
+	for _, t := range notice.Proposal.Cut.Tips {
+		if t.Position > 1 {
+			n.lanes.Store().GCBelow(t.Lane, t.Position)
+		}
+	}
+}
+
 // maybeStateSync starts a snapshot sync when a commit notice reveals the
 // replica is at least two snapshot intervals behind the sender: replay
 // would cost O(history) — and with truncating peers the history below
@@ -138,15 +168,23 @@ func (n *Node) maybeStateSync(ctx runtime.Context, from types.NodeID, decided ty
 // having been committed in those few slots — and asking again would never
 // end. The distance rule above stays as the early path: it spares a
 // replica that is far behind the silent rotation.
+//
+// A replica without snapshots has nothing to hand over to. With
+// execution off that is the RetainSlots limit (trimHistory): every such
+// drop counts in Stats.HistoryUnservable, so a replica stuck beneath its
+// peers' history says so.
 func (n *Node) stateSyncIfUnservable(ctx runtime.Context, exhausted []types.NodeID) {
-	if n.machine == nil || n.cfg.SnapshotEvery == 0 || n.snapSync.Active() || n.noticeFrom == n.cfg.Self {
-		return
-	}
 	for _, l := range exhausted {
-		if n.orderer.BlockedOn(l) {
-			n.beginStateSync(ctx, n.noticeFrom)
-			return
+		if !n.orderer.BlockedOn(l) {
+			continue
 		}
+		switch {
+		case n.machine == nil || n.cfg.SnapshotEvery == 0:
+			n.stats.HistoryUnservable.Add(1)
+		case !n.snapSync.Active() && n.noticeFrom != n.cfg.Self:
+			n.beginStateSync(ctx, n.noticeFrom)
+		}
+		return
 	}
 }
 

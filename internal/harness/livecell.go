@@ -117,9 +117,8 @@ func RunLiveTCPCell(cfg LiveCellConfig) LiveCellResult {
 			res.Err = err
 			return res
 		}
-		// The safety oracle taps the synchronous observer, not the
-		// Commits channel: the channel drops under backpressure, and a
-		// gap would misalign the oracle's log comparison.
+		// The safety oracle taps the synchronous observer, which never
+		// drops: a gap would misalign the oracle's log comparison.
 		id := types.NodeID(i)
 		r.SetCommitObserver(func(c autobahn.Committed) {
 			ci.Record(id, c.Lane, c.Position, c.Batch.Digest(), c.AppHash)

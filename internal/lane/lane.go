@@ -593,12 +593,13 @@ func (s *State) OnCommitted(lane types.NodeID, pos types.Pos, digest types.Diges
 	if pv.optTip.Position < pos {
 		pv.optTip = types.TipRef{Lane: lane, Position: pos, Digest: digest}
 	}
-	// Committed proposals are retained: the paper's prototype persists
-	// all data (RocksDB) and serves arbitrarily deep sync requests from
-	// it — a replica returning from a long partition must be able to
-	// fetch history well below the live frontier (see internal/storage
-	// for the disk-backed equivalent). Only vote bookkeeping and fork
-	// siblings below the frontier are reclaimed (§A.4).
+	// Committed proposals stay in the store: a replica returning from a
+	// partition fetches history beneath the live frontier from its peers'
+	// stores. Only vote bookkeeping and fork siblings below the frontier
+	// are reclaimed here (§A.4). The store is truncated by the replica
+	// (core), on one of two lines: with execution on, a snapshot margin
+	// beneath each checkpoint's frontier; with execution off, the cars of
+	// the last consensus.RetainSlots slots.
 	return nil
 }
 

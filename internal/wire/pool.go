@@ -75,6 +75,12 @@ func (b *Buf) Release() {
 // proposals, certificate shares), so the buffer's storage is reclaimed
 // by the garbage collector when the message itself dies. Release after
 // delivery would recycle memory the protocol still reads.
+//
+// Because a delivered frame lives exactly as long as what the protocol
+// keeps of it, a frame above maxPooledFrame is allocated to its exact
+// size instead of drawn from a class: a stored car would otherwise pin
+// the whole class buffer behind it (a 104 KB car a 256 KiB buffer, a
+// 20 KB car 256 KiB too), for as long as the car is retained.
 type Frame struct {
 	buf  *Buf
 	refs atomic.Int32
@@ -82,12 +88,22 @@ type Frame struct {
 
 var framePool = sync.Pool{New: func() any { return new(Frame) }}
 
-// GetFrame returns a frame with a Data slice of exactly n bytes (drawn
-// from the pooled size classes) and one reference held by the caller.
+// maxPooledFrame is the largest frame drawn from the size classes:
+// control messages and small cars. Anything larger is a car or a sync
+// reply, whose delivered payload the lane store retains.
+var maxPooledFrame = bufClasses[1]
+
+// GetFrame returns a frame with a Data slice of exactly n bytes and one
+// reference held by the caller. Frames up to maxPooledFrame come from
+// the pooled size classes; larger ones are allocated with cap == n.
 func GetFrame(n int) *Frame {
 	f := framePool.Get().(*Frame)
-	f.buf = GetBuf(n)
-	f.buf.B = f.buf.B[:n]
+	if n > maxPooledFrame {
+		f.buf = &Buf{B: make([]byte, n)}
+	} else {
+		f.buf = GetBuf(n)
+		f.buf.B = f.buf.B[:n]
+	}
 	f.refs.Store(1)
 	return f
 }
@@ -98,13 +114,18 @@ func (f *Frame) Data() []byte { return f.buf.B }
 // Retain adds a reference (one per independently-released holder).
 func (f *Frame) Retain() { f.refs.Add(1) }
 
-// Release drops one reference; the last one returns the buffer to the
-// pool. Must not be called for references abandoned to the GC (see the
-// type comment) — releasing memory a decoded message still aliases is a
-// use-after-free in spirit, even though Go keeps it type-safe.
+// Release drops one reference; the last one returns a pooled buffer to
+// its class (an exactly sized one is left to the GC: filed into a small
+// class, it would come back as a control frame and pin a car's worth of
+// memory behind it). Must not be called for references abandoned to the
+// GC (see the type comment) — releasing memory a decoded message still
+// aliases is a use-after-free in spirit, even though Go keeps it
+// type-safe.
 func (f *Frame) Release() {
 	if f.refs.Add(-1) == 0 {
-		f.buf.Release()
+		if cap(f.buf.B) <= maxPooledFrame {
+			f.buf.Release()
+		}
 		f.buf = nil
 		framePool.Put(f)
 	}

@@ -89,6 +89,36 @@ func TestBufPoolRecycles(t *testing.T) {
 	c.Release()
 }
 
+// TestLargeFrameSizedToMessage pins the ingress sizing rule: a frame
+// above maxPooledFrame (a car, which the lane store keeps alive through
+// the aliased payload) is allocated to exactly its size, a control-sized
+// frame still comes from a pooled class, and both Release on the drop
+// path — the control frame back into its class, where the next one
+// finds it.
+func TestLargeFrameSizedToMessage(t *testing.T) {
+	for _, n := range []int{maxPooledFrame + 1, 20_000, 104_000, 300_000} {
+		car := GetFrame(n)
+		if d := car.Data(); len(d) != n || cap(d) != n {
+			t.Fatalf("%d-byte frame: len %d cap %d, want cap == len", n, len(d), cap(d))
+		}
+		car.Release()
+	}
+
+	ctl := GetFrame(300)
+	d := ctl.Data()
+	if len(d) != 300 || cap(d) < bufClasses[0] {
+		t.Fatalf("control frame: len %d cap %d, want len 300 in a class buffer (cap >= %d)", len(d), cap(d), bufClasses[0])
+	}
+	first := &d[:cap(d)][cap(d)-1]
+	ctl.Release()
+	again := GetFrame(200)
+	d = again.Data()
+	if !raceEnabled && &d[:cap(d)][cap(d)-1] != first {
+		t.Fatal("released control frame was not recycled")
+	}
+	again.Release()
+}
+
 // TestSizeHintCoversEncoding: for real payloads the hint must be large
 // enough that EncodeTo never re-allocates; for synthetic batches it must
 // stay near the true (tiny) encoding rather than the modeled payload.

@@ -17,7 +17,7 @@ import (
 // LiveCluster runs an n-replica Autobahn deployment inside one process in
 // real time: one event-loop goroutine per replica, channel transport,
 // real ed25519 signatures. Submit transactions to any replica and consume
-// the totally ordered commits from the Commits channel.
+// the totally ordered commits through SetCommitObserver.
 type LiveCluster struct {
 	opts  Options
 	mesh  *transport.LocalMesh
@@ -25,13 +25,9 @@ type LiveCluster struct {
 	mu    []sync.Mutex // per-pool locks (Submit may be called concurrently)
 	nodes []*core.Node
 
-	// Commits delivers every committed batch observed at replica 0 (one
-	// canonical copy of the total order; all replicas agree).
-	Commits chan Committed
-
-	// observer, when set (SetCommitObserver), additionally receives every
-	// replica's commits — the fault-matrix harness cross-checks replica
-	// logs against each other through it.
+	// observer, when set (SetCommitObserver), receives every replica's
+	// commits — the fault-matrix harness cross-checks replica logs against
+	// each other through it.
 	observer func(Committed)
 
 	epoch   time.Time
@@ -39,9 +35,12 @@ type LiveCluster struct {
 	done    chan struct{} // closed by Stop; terminates flushLoop
 }
 
-// SetCommitObserver registers fn to receive every replica's commits (not
-// just replica 0's), called from replica event-loop goroutines. Must be
-// called before Start; fn must be fast and thread-safe.
+// SetCommitObserver registers fn to receive every replica's commits,
+// each replica's in its total order (Committed.Replica says whose; all
+// replicas agree by safety, so one replica's stream is the canonical
+// log). It is the cluster's only commit stream and never drops. fn is
+// called from replica event-loop goroutines; it must be set before Start
+// and be fast and thread-safe.
 func (c *LiveCluster) SetCommitObserver(fn func(Committed)) { c.observer = fn }
 
 // NewLiveCluster builds (but does not start) an in-process cluster.
@@ -55,27 +54,18 @@ func NewLiveCluster(o Options) (*LiveCluster, error) {
 	}
 	o.VerifySignatures = true
 	lc := &LiveCluster{
-		opts:    o,
-		mesh:    transport.NewLocalMesh(),
-		Commits: make(chan Committed, 4096),
-		epoch:   time.Now(),
+		opts:  o,
+		mesh:  transport.NewLocalMesh(),
+		epoch: time.Now(),
 	}
 	lc.mesh.Faults = o.LinkFaults
 	suite := o.suite()
 	sink := runtime.CommitSinkFunc(func(node types.NodeID, now time.Duration, cm runtime.Committed) {
-		c := Committed{
-			Replica: node, Lane: cm.Lane, Position: cm.Position,
-			Slot: cm.Slot, Batch: cm.Batch, AppHash: cm.AppHash, At: now,
-		}
 		if obs := lc.observer; obs != nil {
-			obs(c)
-		}
-		if node != 0 {
-			return // one canonical stream; replicas agree by safety
-		}
-		select {
-		case lc.Commits <- c:
-		default: // consumer not keeping up: drop delivery notifications
+			obs(Committed{
+				Replica: node, Lane: cm.Lane, Position: cm.Position,
+				Slot: cm.Slot, Batch: cm.Batch, AppHash: cm.AppHash, At: now,
+			})
 		}
 	})
 	for i := 0; i < o.N; i++ {

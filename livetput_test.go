@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"os"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -27,21 +28,14 @@ func TestLiveClusterThroughputPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var counter atomic.Uint64
+	lc.SetCommitObserver(func(c Committed) {
+		if c.Replica == 0 {
+			counter.Add(uint64(c.Batch.Count))
+		}
+	})
 	lc.Start()
 	const dur = 8 * time.Second
-	var committed uint64
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			select {
-			case c := <-lc.Commits:
-				committed += uint64(c.Batch.Count)
-			case <-time.After(3 * time.Second):
-				return
-			}
-		}
-	}()
 	start := time.Now()
 	var sent uint64
 	if os.Getenv("AUTOBAHN_LIVE_TPUT_BULK") != "" {
@@ -68,7 +62,17 @@ func TestLiveClusterThroughputPoint(t *testing.T) {
 			sent++
 		}
 	}
-	<-done
+	// Count until replica 0 has committed nothing for 3 s: the backlog
+	// the submitter left has drained.
+	committed := counter.Load()
+	for {
+		time.Sleep(3 * time.Second)
+		now := counter.Load()
+		if now == committed {
+			break
+		}
+		committed = now
+	}
 	lc.Stop()
 	rate := float64(committed) / dur.Seconds()
 	fmt.Printf("LiveCluster: %d submitted, %d committed in %v window (%.0f tx/s committed)\n",

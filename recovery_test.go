@@ -37,13 +37,12 @@ func TestLiveClusterStopTerminatesFlushLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	feed := replicaFeed(lc, 0)
 	lc.Start()
 	if err := lc.Submit(0, []byte("leak-probe")); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-lc.Commits:
-	case <-time.After(10 * time.Second):
+	if !feed.await(10*time.Second, func(Committed) bool { return true }) {
 		t.Fatal("no commit before stop")
 	}
 	lc.Stop()
@@ -114,11 +113,14 @@ func testReplicaRestartRecoversFromWAL(t *testing.T, shards int) {
 		}
 	}
 	replicas := make([]*Replica, 4)
+	feeds := make([]*commitFeed, 4)
 	for i := range replicas {
 		r, err := NewReplica(types.NodeID(i), addrs, opts(i), log.New(os.Stderr, fmt.Sprintf("r%d ", i), 0))
 		if err != nil {
 			t.Fatal(err)
 		}
+		feeds[i] = newCommitFeed()
+		r.SetCommitObserver(feeds[i].observe)
 		if err := r.Start(); err != nil {
 			t.Fatal(err)
 		}
@@ -141,21 +143,18 @@ func testReplicaRestartRecoversFromWAL(t *testing.T, shards int) {
 		t.Helper()
 		var maxSlot types.Slot
 		got := 0
-		deadline := time.After(30 * time.Second)
-		for got < want {
-			select {
-			case c := <-replicas[id].Commits:
-				if c.Slot > maxSlot {
-					maxSlot = c.Slot
-				}
-				for _, tx := range c.Batch.Txs {
-					if len(tx) > len(tag) && string(tx[:len(tag)]) == tag {
-						got++
-					}
-				}
-			case <-deadline:
-				t.Fatalf("replica %d committed only %d/%d %q txs", id, got, want, tag)
+		if !feeds[id].await(30*time.Second, func(c Committed) bool {
+			if c.Slot > maxSlot {
+				maxSlot = c.Slot
 			}
+			for _, tx := range c.Batch.Txs {
+				if len(tx) > len(tag) && string(tx[:len(tag)]) == tag {
+					got++
+				}
+			}
+			return got >= want
+		}) {
+			t.Fatalf("replica %d committed only %d/%d %q txs", id, got, want, tag)
 		}
 		return maxSlot
 	}
@@ -169,6 +168,8 @@ func testReplicaRestartRecoversFromWAL(t *testing.T, shards int) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	feeds[3] = newCommitFeed()
+	r3.SetCommitObserver(feeds[3].observe)
 	if err := r3.Start(); err != nil {
 		t.Fatal(err)
 	}

@@ -45,22 +45,17 @@ type Replica struct {
 	fatal        chan error
 	journalFatal atomic.Bool
 
-	// Commits delivers this replica's totally ordered, execution-ready
-	// batches.
-	Commits chan Committed
-
 	// observer, when set (SetCommitObserver), synchronously receives
-	// every commit before the Commits channel — which drops under
-	// backpressure. Harnesses that cross-check replica logs (the fault
-	// matrix's safety oracle) must use the observer: a dropped channel
-	// delivery would misalign an index-based log comparison.
+	// every commit: the replica's one commit stream.
 	observer func(Committed)
 }
 
-// SetCommitObserver registers fn to synchronously receive every commit
-// (never dropped, unlike the Commits channel). Must be called before
-// Start; fn runs on the replica's event loop and must be fast and
-// thread-safe.
+// SetCommitObserver registers fn to synchronously receive this replica's
+// totally ordered, execution-ready batches — every one, in order, never
+// dropped. It is the only commit stream: nothing is buffered for a
+// reader that is not there, so a replica without an observer retains no
+// committed batch on its behalf. Must be called before Start; fn runs on
+// the replica's event loop and must be fast and thread-safe.
 func (r *Replica) SetCommitObserver(fn func(Committed)) { r.observer = fn }
 
 // NewReplica builds replica `self` of a committee whose members listen at
@@ -82,12 +77,11 @@ func NewReplica(self types.NodeID, addrs map[types.NodeID]string, o Options, log
 	}
 	o.VerifySignatures = true
 	r := &Replica{
-		opts:    o,
-		self:    self,
-		epoch:   time.Now(), // deployments tolerate skewed epochs: only latency *reports* depend on it
-		done:    make(chan struct{}),
-		fatal:   make(chan error, 1),
-		Commits: make(chan Committed, 4096),
+		opts:  o,
+		self:  self,
+		epoch: time.Now(), // deployments tolerate skewed epochs: only latency *reports* depend on it
+		done:  make(chan struct{}),
+		fatal: make(chan error, 1),
 	}
 	if o.WALFaults != nil && o.WALPath == "" {
 		return nil, fmt.Errorf("autobahn: WALFaults requires WALPath")
@@ -101,19 +95,14 @@ func NewReplica(self types.NodeID, addrs map[types.NodeID]string, o Options, log
 		r.journal = core.NewWALJournal(st)
 	}
 	sink := runtime.CommitSinkFunc(func(node types.NodeID, now time.Duration, cm runtime.Committed) {
-		c := Committed{
-			Replica: node, Lane: cm.Lane, Position: cm.Position,
-			Slot: cm.Slot, Batch: cm.Batch, AppHash: cm.AppHash, At: now,
-		}
 		if obs := r.observer; obs != nil {
-			obs(c)
+			obs(Committed{
+				Replica: node, Lane: cm.Lane, Position: cm.Position,
+				Slot: cm.Slot, Batch: cm.Batch, AppHash: cm.AppHash, At: now,
+			})
 		}
 		if gw := r.gateway; gw != nil {
 			gw.OnCommit(cm.Batch) // spill-queue append: never blocks the loop
-		}
-		select {
-		case r.Commits <- c:
-		default:
 		}
 	})
 	suite := o.suite()

@@ -40,10 +40,14 @@ func TestReplicaColdJoinViaSnapshot(t *testing.T) {
 		return o
 	}
 	replicas := make([]*Replica, 4)
+	feed0 := newCommitFeed()
 	for i := range replicas {
 		r, err := NewReplica(types.NodeID(i), addrs, opts(i, false), log.New(os.Stderr, fmt.Sprintf("r%d ", i), 0))
 		if err != nil {
 			t.Fatal(err)
+		}
+		if i == 0 {
+			r.SetCommitObserver(feed0.observe)
 		}
 		if err := r.Start(); err != nil {
 			t.Fatal(err)
@@ -65,11 +69,12 @@ func TestReplicaColdJoinViaSnapshot(t *testing.T) {
 		defer tick.Stop()
 		k := 0
 		for {
-			select {
-			case c := <-replicas[0].Commits:
+			for c, ok := feed0.next(); ok; c, ok = feed0.next() {
 				if c.Slot >= target {
 					return
 				}
+			}
+			select {
 			case <-tick.C:
 				replicas[0].Submit([]byte(fmt.Sprintf("tx-%06d", k)))
 				k++
@@ -95,6 +100,8 @@ func TestReplicaColdJoinViaSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	feed3 := newCommitFeed()
+	r3.SetCommitObserver(feed3.observe)
 	if err := r3.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -111,10 +118,8 @@ func TestReplicaColdJoinViaSnapshot(t *testing.T) {
 	for {
 		installed := r3.Node().Stats().SnapshotsInstalled
 		if installed > 0 {
-			select {
-			case <-r3.Commits:
+			if _, ok := feed3.next(); ok {
 				committedAfterJoin++
-			default:
 			}
 			if committedAfterJoin >= 20 {
 				t.Logf("replica 3 cold-joined via %d snapshot install(s) at frontier %d, %d commits after join",
