@@ -105,23 +105,6 @@ type Options struct {
 	// it. See transport.NewLinkFaults.
 	LinkFaults *transport.LinkFaults
 
-	// GossipFanout, when > 0, replaces full-mesh car broadcast with
-	// fanout-k gossip on real-time transports (LiveCluster, Replica):
-	// origins send each car to k random peers and every replica relays
-	// it once on first sight, cutting per-node data-plane egress from
-	// O(n·payload) to O(k·payload). k ≈ log2(N)+1 reaches everyone with
-	// overwhelming probability; the lane retransmission timer and sync
-	// fetches backstop the tail. Real-time runtimes only — the simulator
-	// models full-mesh dissemination and ignores this.
-	GossipFanout int
-
-	// DeltaCuts makes real-time transports delta-compress cut-bearing
-	// consensus frames (Prepare, CommitNotice) against each connection's
-	// previously sent cut, re-encoding only changed tips. Receivers need
-	// no flag (delta decoding is always on), and any gap or reconnect
-	// falls back to full frames. Real-time runtimes only.
-	DeltaCuts bool
-
 	// SequentialCerts is the large-committee benchmark baseline: disable
 	// certificate batch verification, whole-certificate memoization and
 	// the share memo, paying one raw signature verification per share on

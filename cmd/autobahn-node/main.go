@@ -50,8 +50,6 @@ func main() {
 	quiet := flag.Bool("quiet", false, "suppress the once-a-second stats line")
 	pprofAddr := flag.String("pprof", "", "listen address for net/http/pprof live profiling, e.g. 127.0.0.1:6060 (optional)")
 	shards := flag.Int("shards", 0, "data-plane worker shards: lane traffic parallelism (0 = auto: one per core up to committee size, 1 = single-threaded)")
-	gossip := flag.Int("gossip", 0, "car gossip fanout k (0 = full-mesh broadcast); try log2(committee)+1 for large committees")
-	deltaCuts := flag.Bool("delta-cuts", false, "delta-compress cut-bearing consensus frames against each connection's previous cut")
 	stallTimeout := flag.Duration("stall-timeout", 10*time.Second, "tear down and redial peer connections that accept but make no progress for this long (0 disables the stall detector)")
 	gatewayAddr := flag.String("gateway", "", "client gateway listen address: per-client windows, dedup, admission control, commit acks (optional; autobahn-client connects here)")
 	execOn := flag.Bool("exec", false, "run the deterministic execution layer over the committed stream (commits carry a cross-checkable AppHash)")
@@ -79,8 +77,6 @@ func main() {
 		ViewTimeout:   *timeout,
 		WALPath:       *walPath,
 		DataShards:    *shards,
-		GossipFanout:  *gossip,
-		DeltaCuts:     *deltaCuts,
 		StallTimeout:  *stallTimeout,
 		GatewayAddr:   *gatewayAddr,
 		Execution:     *execOn,
@@ -186,15 +182,14 @@ func main() {
 				s.Admitted, s.Rejected(), s.Deduped, s.Acked, s.AckLatencyMean.Round(time.Microsecond), s.AckDrops)
 		}
 		starts := replica.Node().Engine().StartCounts()
-		logger.Printf("committed %d txs in %d batches (slot %d); starts %d covered/%d lowered/%d backstop; egress ctl %d frames/%d flushes (%d delta), data %d frames/%d flushes, %d drops; ingress %d ctl/%d shard events, %d drops; gossip %d origin/%d relayed/%d dup-dropped; links %d dials/%d redials/%d stalls; sync %d requests (%d retries), %d B received, %d B redundant, %d unservable%s",
+		logger.Printf("committed %d txs in %d batches (slot %d); starts %d covered/%d lowered/%d backstop; egress ctl %d frames/%d flushes, data %d frames/%d flushes, %d drops; ingress %d ctl/%d shard events, %d drops; links %d dials/%d redials/%d stalls; sync %d requests (%d retries), %d B received, %d B redundant, %d unservable%s",
 			committedTx.Load(), committedBatches.Load(), lastSlot.Load(),
 			starts.Covered, starts.Lowered, starts.Backstop,
-			egress.Control.Frames, egress.Control.Flushes, egress.Control.DeltaFrames,
+			egress.Control.Frames, egress.Control.Flushes,
 			egress.Data.Frames, egress.Data.Flushes,
 			egress.Control.Drops+egress.Data.Drops,
 			loop.ControlEvents, loop.ShardEvents,
 			loop.InboxDrops+loop.ShardDrops,
-			loop.GossipOrigin, loop.GossipRelays, loop.GossipDupDrops,
 			loop.PeerDials, loop.PeerRedials, loop.PeerStalls,
 			node.SyncRequestsSent, node.SyncRetries, node.SyncBytesReceived, node.DataBytesRedundant, node.HistoryUnservable, gw)
 	}

@@ -1,8 +1,7 @@
 // Committee-scaling cells: LiveCluster throughput/latency across
-// committee sizes (n = 4, 7, 16, 32), plus the two large-committee
-// fast-path comparisons — batch-verified certificates against the
-// sequential-verify baseline, and gossip car dissemination against
-// full-mesh broadcast.
+// committee sizes (n = 4, 7, 16, 32), plus the large-committee
+// fast-path comparison — batch-verified certificates against the
+// sequential-verify baseline.
 //
 // Each cell commits a FIXED load and reports completion throughput
 // (committed tx / elapsed-to-done): open-loop unpaced submission on a
@@ -12,18 +11,9 @@
 // (64 tx) to keep the certificate-per-transaction ratio high — the
 // whole point is to surface verification and dissemination costs that
 // 1000-tx batches would amortize away. Commits are counted through the
-// synchronous observer, which never drops one.
-//
-// The gossip cells run a SINGLE-ORIGIN load (all clients hit replica 0)
-// and compare the busiest replica's data-plane egress per committed
-// transaction. That is the claim gossip can honestly make: full-mesh
-// broadcast bills the origin (n-1)·payload per car, gossip bills every
-// replica ≤ k·payload per car — it caps the per-node hot spot, at the
-// cost of ~k× total traffic across the cluster. Under a perfectly
-// symmetric saturated load, full mesh is already load-balanced and
-// total-bandwidth optimal; the skewed-origin cell is where the fanout
-// cap shows up, exactly as at large n where a 500 KB car times (n-1)
-// peers serializes tens of megabytes through one NIC.
+// synchronous observer, which never drops one. Load is symmetric — every
+// replica originates cars — so full-mesh dissemination is already
+// load-balanced and total-bandwidth optimal.
 package main
 
 import (
@@ -42,28 +32,16 @@ type committeeCellResult struct {
 	tput      float64 // committed tx/s at replica 0 (fixed load / completion time)
 	p99       time.Duration
 	committed uint64
-	// maxData is the busiest replica's data-plane egress bytes; maxCtl
-	// the same for the control plane.
-	maxData, maxCtl uint64
-	// Gossip counters summed across replicas (zero without gossip).
-	origin, relays, dups uint64
-	certHits             uint64
-}
-
-func (r committeeCellResult) dataPerTx() float64 {
-	if r.committed == 0 {
-		return 0
-	}
-	return float64(r.maxData) / float64(r.committed)
+	certHits  uint64
 }
 
 // committeeCell runs one LiveCluster point: totalTx 128-byte
 // transactions (submit timestamp embedded for end-to-end latency) in
 // 64-tx bursts with at most maxInFlight outstanding, then reports
 // committed throughput over the time to drain them all at replica 0.
-func committeeCell(n, gossip int, sequential, singleOrigin bool, totalTx int, seed uint64) committeeCellResult {
+func committeeCell(n int, sequential bool, totalTx int, seed uint64) committeeCellResult {
 	lc, err := autobahn.NewLiveCluster(autobahn.Options{
-		N: n, Seed: seed, GossipFanout: gossip, SequentialCerts: sequential,
+		N: n, Seed: seed, SequentialCerts: sequential,
 		MaxBatchTxs: 64, MaxBatchDelay: 5 * time.Millisecond,
 	})
 	if err != nil {
@@ -108,11 +86,7 @@ func committeeCell(n, gossip int, sequential, singleOrigin bool, totalTx int, se
 			binary.LittleEndian.PutUint64(tx[8:16], now)
 			burst[i] = tx
 		}
-		to := types.NodeID(0)
-		if !singleOrigin {
-			to = types.NodeID(sent / 64 % n)
-		}
-		if err := lc.SubmitMany(to, burst); err != nil {
+		if err := lc.SubmitMany(types.NodeID(sent/64%n), burst); err != nil {
 			panic(err)
 		}
 		sent += len(burst)
@@ -131,46 +105,27 @@ func committeeCell(n, gossip int, sequential, singleOrigin bool, totalTx int, se
 	}
 	latMu.Unlock()
 	for i := 0; i < n; i++ {
-		id := types.NodeID(i)
-		ctl, data := lc.PlaneBytes(id)
-		if data > res.maxData {
-			res.maxData = data
-		}
-		if ctl > res.maxCtl {
-			res.maxCtl = ctl
-		}
-		ls := lc.LoopStats(id)
-		res.origin += ls.GossipOrigin
-		res.relays += ls.GossipRelays
-		res.dups += ls.GossipDupDrops
-		hits, _ := lc.Node(id).CertCacheStats()
+		hits, _ := lc.Node(types.NodeID(i)).CertCacheStats()
 		res.certHits += hits
 	}
 	return res
 }
 
-// runCommittee prints the committee-scaling curve and runs the two
-// fast-path comparisons, with failing shape checks (see EXPERIMENTS.md
-// "Committee scaling").
+// runCommittee prints the committee-scaling curve and runs the
+// batch-vs-sequential certificate comparison, with failing shape checks
+// (see EXPERIMENTS.md "Committee scaling").
 func runCommittee(quick bool, seed uint64) {
 	totalTx := 19200
 	if quick {
 		totalTx = 6400
 	}
-	fanout := func(n int) int {
-		k := 1
-		for 1<<k < n {
-			k++
-		}
-		return k + 1 // log2(n)+1
-	}
 
 	// Scaling curve: default configuration (batch-verified, memoized
-	// certificates; full-mesh dissemination), symmetric load.
+	// certificates), symmetric load.
 	fmt.Printf("%-4s %12s %10s %14s\n", "n", "tx/s", "p99", "cert memo hits")
 	curve := make(map[int]committeeCellResult)
 	for _, n := range []int{4, 7, 16, 32} {
-		r := committeeCell(n, 0, false, false, totalTx, seed)
+		r := committeeCell(n, false, totalTx, seed)
 		curve[n] = r
 		fmt.Printf("%-4d %12.0f %10s %14d\n", n, r.tput, r.p99.Round(time.Millisecond), r.certHits)
 		record(fmt.Sprintf("tput_n%d", n), r.tput)
@@ -183,7 +138,7 @@ func runCommittee(quick bool, seed uint64) {
 
 	// Batch-verified certificates vs the sequential-verify baseline at
 	// n=16: same cluster, same load, verification strategy flipped.
-	seq := committeeCell(16, 0, true, false, totalTx, seed)
+	seq := committeeCell(16, true, totalTx, seed)
 	ratio := 0.0
 	if seq.tput > 0 {
 		ratio = curve[16].tput / seq.tput
@@ -194,27 +149,4 @@ func runCommittee(quick bool, seed uint64) {
 	record("batch_vs_seq_ratio_n16", ratio)
 	check(ratio >= 1.3, "batch-verified certificates beat sequential verify by >=1.3x at n=16")
 
-	// Gossip vs full mesh, single-origin load: the busiest replica's
-	// data-plane bytes per committed transaction is the hot-spot metric
-	// the fanout cap exists for.
-	fm16 := committeeCell(16, 0, false, true, totalTx, seed)
-	g16 := committeeCell(16, fanout(16), false, true, totalTx, seed)
-	fmt.Printf("\nn=16 single-origin data plane: full-mesh %0.f B/tx vs gossip(k=%d) %0.f B/tx (origin %d, relays %d, dup-drops %d)\n",
-		fm16.dataPerTx(), fanout(16), g16.dataPerTx(), g16.origin, g16.relays, g16.dups)
-	record("fullmesh_max_data_bytes_per_tx_n16", fm16.dataPerTx())
-	record("gossip_max_data_bytes_per_tx_n16", g16.dataPerTx())
-	record("gossip_relays_n16", float64(g16.relays))
-	record("gossip_dup_drops_n16", float64(g16.dups))
-	check(g16.committed > 0 && fm16.committed > 0, "n=16 single-origin cells commit transactions")
-	check(g16.origin > 0 && g16.relays > 0, "gossip origin and relay counters advance at n=16")
-	check(g16.dataPerTx() > 0 && g16.dataPerTx() < fm16.dataPerTx(),
-		"gossip cuts the busiest replica's data-plane bytes per committed tx at n=16")
-
-	g32 := committeeCell(32, fanout(32), false, true, totalTx, seed)
-	fmt.Printf("n=32 gossip(k=%d): %8.0f tx/s, %0.f B/tx max data plane, relays %d\n",
-		fanout(32), g32.tput, g32.dataPerTx(), g32.relays)
-	record("gossip_tput_n32", g32.tput)
-	record("gossip_max_data_bytes_per_tx_n32", g32.dataPerTx())
-	record("gossip_relays_n32", float64(g32.relays))
-	check(g32.committed > 0 && g32.relays > 0, "n=32 gossip cell commits with active relays")
 }

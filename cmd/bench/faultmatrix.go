@@ -71,11 +71,8 @@ type liveMatrixCell struct {
 	name      string
 	adversary string // "" = all replicas honest
 	rule      transport.LinkRule
-	// n overrides the committee size (0 = 4); gossip/deltaCuts enable
-	// the large-committee dissemination paths on every replica.
-	n         int
-	gossip    int
-	deltaCuts bool
+	// n overrides the committee size (0 = 4).
+	n int
 }
 
 // lossy is the link profile every cell marked lossy uses: 5% loss, 2%
@@ -93,13 +90,11 @@ func runFaultMatrix(quick bool, seed uint64) {
 		cells = append(cells, liveMatrixCell{name: "tcp-" + b, adversary: b})
 	}
 	cells = append(cells, liveMatrixCell{name: "tcp-equivocate-lossy", adversary: "equivocate", rule: lossy})
-	// Large-committee cell: n=16 with gossip dissemination and delta
-	// cuts, one equivocating replica, lossy links — the full PR-6 fast
-	// path must clear the same safety oracle and commit floor as the
-	// 4-replica cells.
+	// Large-committee cell: n=16 on full mesh, one equivocating replica,
+	// lossy links — it must clear the same safety oracle and commit floor
+	// as the 4-replica cells.
 	cells = append(cells, liveMatrixCell{
-		name: "tcp-n16-gossip-equivocate-lossy", adversary: "equivocate",
-		rule: lossy, n: 16, gossip: 5, deltaCuts: true,
+		name: "tcp-n16-equivocate-lossy", adversary: "equivocate", rule: lossy, n: 16,
 	})
 
 	dur, rate := 6*time.Second, 2000.0
@@ -117,15 +112,13 @@ func runFaultMatrix(quick bool, seed uint64) {
 // turns its outcome into bench records and checks.
 func runLiveCell(cell liveMatrixCell, dur time.Duration, rate float64, seed uint64) {
 	res := harness.RunLiveTCPCell(harness.LiveCellConfig{
-		N:            cell.n,
-		GossipFanout: cell.gossip,
-		DeltaCuts:    cell.deltaCuts,
-		Adversary:    cell.adversary,
-		Rule:         cell.rule,
-		Seed:         seed,
-		Rate:         rate,
-		Duration:     dur,
-		Logger:       log.New(os.Stderr, "faultmatrix ", 0),
+		N:         cell.n,
+		Adversary: cell.adversary,
+		Rule:      cell.rule,
+		Seed:      seed,
+		Rate:      rate,
+		Duration:  dur,
+		Logger:    log.New(os.Stderr, "faultmatrix ", 0),
 	})
 	if res.Err != nil {
 		fmt.Printf("%-22s SKIP: %v\n", cell.name, res.Err)

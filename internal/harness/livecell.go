@@ -21,13 +21,8 @@ import (
 // them.
 type LiveCellConfig struct {
 	// N is the committee size (default 4). Larger committees exercise
-	// the large-committee fast path (gossip, delta cuts) end to end.
+	// full-mesh dissemination and batch-verified certificates end to end.
 	N int
-	// GossipFanout, when > 0, enables fanout-k car gossip on every
-	// replica (Options.GossipFanout).
-	GossipFanout int
-	// DeltaCuts enables delta-compressed cut frames on every replica.
-	DeltaCuts bool
 	// Adversary names the behavior replica 2 runs ("" = all honest).
 	Adversary string
 	// Rule, when non-zero, is installed on every replica's egress.
@@ -90,7 +85,6 @@ func RunLiveTCPCell(cfg LiveCellConfig) LiveCellResult {
 	}
 	opts := autobahn.Options{
 		N: n, Seed: cfg.Seed, MaxBatchDelay: 10 * time.Millisecond,
-		GossipFanout: cfg.GossipFanout, DeltaCuts: cfg.DeltaCuts,
 	}
 	if cfg.Adversary != "" {
 		opts.Adversaries = map[types.NodeID]string{2: cfg.Adversary}

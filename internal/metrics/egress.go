@@ -18,10 +18,6 @@ type PlaneCounters struct {
 	Bytes atomic.Uint64
 	// Drops counts frames discarded because the peer's queue was full.
 	Drops atomic.Uint64
-	// DeltaFrames counts frames written delta-compressed against the
-	// connection's previous cut instead of full-size (subset of Frames;
-	// zero unless delta cuts are enabled).
-	DeltaFrames atomic.Uint64
 }
 
 // PeerTransport instruments one peer link across both planes.
@@ -43,7 +39,7 @@ type PeerTransport struct {
 
 // PlaneSnapshot is a plain-value copy of PlaneCounters.
 type PlaneSnapshot struct {
-	Frames, Flushes, Bytes, Drops, DeltaFrames uint64
+	Frames, Flushes, Bytes, Drops uint64
 }
 
 // TransportSnapshot is a plain-value copy of PeerTransport.
@@ -55,11 +51,10 @@ type TransportSnapshot struct {
 
 func (p *PlaneCounters) snapshot() PlaneSnapshot {
 	return PlaneSnapshot{
-		Frames:      p.Frames.Load(),
-		Flushes:     p.Flushes.Load(),
-		Bytes:       p.Bytes.Load(),
-		Drops:       p.Drops.Load(),
-		DeltaFrames: p.DeltaFrames.Load(),
+		Frames:  p.Frames.Load(),
+		Flushes: p.Flushes.Load(),
+		Bytes:   p.Bytes.Load(),
+		Drops:   p.Drops.Load(),
 	}
 }
 
@@ -92,5 +87,4 @@ func (p *PlaneSnapshot) add(o PlaneSnapshot) {
 	p.Flushes += o.Flushes
 	p.Bytes += o.Bytes
 	p.Drops += o.Drops
-	p.DeltaFrames += o.DeltaFrames
 }

@@ -19,15 +19,6 @@ type LoopCounters struct {
 	// event is the one dropped (see transport.Loop's queueing contract).
 	InboxDrops atomic.Uint64
 	ShardDrops atomic.Uint64
-	// Gossip car-dissemination counters (zero unless the mesh runs with
-	// gossip enabled). GossipOrigin counts cars this replica originated
-	// through the fanout sampler (instead of full-mesh broadcast);
-	// GossipRelays counts inbound cars re-forwarded to sampled peers;
-	// GossipDupDrops counts duplicate arrivals suppressed by the
-	// relay-once dedup before delivery.
-	GossipOrigin   atomic.Uint64
-	GossipRelays   atomic.Uint64
-	GossipDupDrops atomic.Uint64
 }
 
 // LoopSnapshot is a plain-value copy of LoopCounters, plus replica-level
@@ -36,7 +27,6 @@ type LoopCounters struct {
 // fault state, so one snapshot carries the whole self-healing picture.
 type LoopSnapshot struct {
 	ControlEvents, ShardEvents, InboxDrops, ShardDrops uint64
-	GossipOrigin, GossipRelays, GossipDupDrops         uint64
 	// PeerStalls / PeerRedials / PeerDials aggregate the mesh's link
 	// health across peers (see PeerTransport).
 	PeerStalls, PeerRedials, PeerDials uint64
@@ -48,12 +38,9 @@ type LoopSnapshot struct {
 // Snapshot copies the counters into plain values.
 func (c *LoopCounters) Snapshot() LoopSnapshot {
 	return LoopSnapshot{
-		ControlEvents:  c.ControlEvents.Load(),
-		ShardEvents:    c.ShardEvents.Load(),
-		InboxDrops:     c.InboxDrops.Load(),
-		ShardDrops:     c.ShardDrops.Load(),
-		GossipOrigin:   c.GossipOrigin.Load(),
-		GossipRelays:   c.GossipRelays.Load(),
-		GossipDupDrops: c.GossipDupDrops.Load(),
+		ControlEvents: c.ControlEvents.Load(),
+		ShardEvents:   c.ShardEvents.Load(),
+		InboxDrops:    c.InboxDrops.Load(),
+		ShardDrops:    c.ShardDrops.Load(),
 	}
 }

@@ -16,13 +16,8 @@ type LocalMesh struct {
 	// egress[i] counts node i's outbound bytes per plane (message
 	// WireSize, counted once per Send, faults excluded) — the in-process
 	// stand-in for the TCP mesh's plane byte counters, so bandwidth
-	// claims (gossip's O(k) vs full mesh's O(n) data plane) are
-	// assertable on LiveCluster benchmarks too.
+	// claims are assertable on LiveCluster benchmarks too.
 	egress []*nodeEgress
-	// gossip[i] is node i's relay state when gossip is enabled (nil
-	// otherwise); ids is the full committee, the sample space.
-	gossip []*gossipState
-	ids    []types.NodeID
 	// Delay, if set, adds a fixed artificial latency to every delivery
 	// (rough WAN emulation for demos).
 	Delay time.Duration
@@ -47,25 +42,11 @@ func (m *LocalMesh) AddNode(proto runtime.Protocol, epoch time.Time) *Loop {
 	l := NewLoop(types.NodeID(len(m.loops)), proto, m, epoch)
 	m.loops = append(m.loops, l)
 	m.egress = append(m.egress, &nodeEgress{})
-	m.ids = append(m.ids, l.id)
 	return l
 }
 
-// EnableGossip switches car dissemination to fanout-k gossip (the
-// LocalMesh twin of TCPMesh.EnableGossip): origins send each car to a
-// random k-sample, receivers relay on first sight. Call after every
-// AddNode, before Start. Each node's sampler is independently seeded so
-// relay graphs differ per node as they would across processes.
-func (m *LocalMesh) EnableGossip(fanout int, seed uint64) {
-	m.gossip = make([]*gossipState, len(m.loops))
-	for i := range m.gossip {
-		m.gossip[i] = newGossipState(fanout, seed+uint64(i)*0x9e3779b97f4a7c15)
-	}
-}
-
 // PlaneBytes returns node id's cumulative outbound bytes on the control
-// and data planes (relays included — each gossip hop is that node's own
-// egress, which is exactly the cost gossip redistributes).
+// and data planes.
 func (m *LocalMesh) PlaneBytes(id types.NodeID) (control, data uint64) {
 	e := m.egress[id]
 	return e.control.Load(), e.data.Load()
@@ -111,56 +92,18 @@ func (m *LocalMesh) Send(from, to types.NodeID, msg types.Message) {
 		copies = v.copies
 		delay += v.delay
 	}
+	l := m.loops[to]
 	for i := 0; i < copies; i++ {
 		if delay > 0 {
-			time.AfterFunc(delay, func() { m.deliver(from, to, msg) })
+			time.AfterFunc(delay, func() { l.Deliver(from, msg) })
 		} else {
-			m.deliver(from, to, msg)
+			l.Deliver(from, msg)
 		}
 	}
 }
 
-// deliver is the receive side of Send: with gossip enabled, inbound cars
-// dedup (relay-once) and relay to a fresh sample before delivery —
-// inside the delayed-fault callback too, since relays happen when a
-// frame ARRIVES. LinkFaults and byte counters apply per hop (each relay
-// is a fresh Send).
-func (m *LocalMesh) deliver(from, to types.NodeID, msg types.Message) {
-	if m.gossip != nil && from != to {
-		if p, ok := msg.(*types.Proposal); ok {
-			g := m.gossip[to]
-			if !g.firstSeen(p.Digest()) {
-				m.loops[to].ctrs.GossipDupDrops.Add(1)
-				return
-			}
-			targets := g.sample(m.ids, func(id types.NodeID) bool {
-				return id == to || id == from || id == p.Lane
-			})
-			m.loops[to].ctrs.GossipRelays.Add(1)
-			for _, t := range targets {
-				m.Send(to, t, msg)
-			}
-		}
-	}
-	m.loops[to].Deliver(from, msg)
-}
-
-// Broadcast implements Sender. With gossip enabled, cars go to a
-// fanout-k sample instead of every peer (relays complete the coverage);
-// retransmissions re-enter here and draw a fresh sample.
+// Broadcast implements Sender.
 func (m *LocalMesh) Broadcast(from types.NodeID, msg types.Message) {
-	if m.gossip != nil && msg.Type() == types.MsgProposal {
-		if p, ok := msg.(*types.Proposal); ok {
-			g := m.gossip[from]
-			g.firstSeen(p.Digest()) // own cars: drop stray relay-backs
-			targets := g.sample(m.ids, func(id types.NodeID) bool { return id == from })
-			m.loops[from].ctrs.GossipOrigin.Add(1)
-			for _, t := range targets {
-				m.Send(from, t, msg)
-			}
-			return
-		}
-	}
 	for _, l := range m.loops {
 		if l.id == from {
 			continue

@@ -188,6 +188,55 @@ func TestTCPMeshClosesOversizedFrame(t *testing.T) {
 	}
 }
 
+// TestTCPMeshDropsUndecodableFrame asserts an in-bounds frame the codec
+// rejects (here an unknown type byte, as an older peer's delta-cut frame
+// would carry) is dropped without closing the connection: a valid frame
+// sent after it on the same connection is still delivered.
+func TestTCPMeshDropsUndecodableFrame(t *testing.T) {
+	ports := freePorts(t, 2)
+	addrs := map[types.NodeID]string{0: ports[0], 1: ports[1]} // 1 never started
+	c := &collector{}
+	m := NewTCPMesh(0, addrs, c, time.Now(), nil)
+	if err := m.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer m.Stop()
+
+	conn, err := net.Dial("tcp", ports[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// Handshake as peer 1 (control plane).
+	out := binary.LittleEndian.AppendUint16(nil, 1)
+	out = append(out, 0)
+	bad := []byte{0xF4, 1, 2, 3}
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(bad)))
+	out = append(out, bad...)
+	vote, err := wire.Encode(&types.Vote{Lane: 1, Position: 7, Voter: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(vote)))
+	out = append(out, vote...)
+	if _, err := conn.Write(out); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for c.count() == 0 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.msgs) != 1 {
+		t.Fatalf("%d deliveries, want exactly the vote after the undecodable frame", len(c.msgs))
+	}
+	v, ok := c.msgs[0].(*types.Vote)
+	if !ok || v.Position != 7 || c.froms[0] != 1 {
+		t.Fatalf("delivered %T %+v from %s, want the vote from r1", c.msgs[0], c.msgs[0], c.froms[0])
+	}
+}
+
 // TestTCPMeshRejectsUnknownHandshake asserts a connection claiming a
 // non-committee ID is closed before any per-peer state is allocated.
 func TestTCPMeshRejectsUnknownHandshake(t *testing.T) {

@@ -58,17 +58,6 @@ type TCPMesh struct {
 	// faults, when set, injects drop/delay/duplicate/reorder per
 	// peer-plane into egress (fault-matrix harness; see LinkFaults).
 	faults *LinkFaults
-
-	// gossip, when set, replaces full-mesh car broadcast with fanout-k
-	// dissemination (see gossip.go); gossipPeers is the sorted committee
-	// minus self that samples draw from.
-	gossip      *gossipState
-	gossipPeers []types.NodeID
-
-	// deltaCuts gates the SENDER side of delta-compressed cut frames;
-	// the receiver side (readLoop) is always on, so mixed deployments
-	// interoperate and enabling the flag is a per-node decision.
-	deltaCuts bool
 }
 
 // Priority planes. Every peer link is two TCP connections, one per
@@ -110,13 +99,6 @@ const (
 type frame struct {
 	buf  *wire.Buf // [len(4) | type | payload]
 	refs atomic.Int32
-	// msg/cut are set (delta-cut senders only) when the message carries
-	// a cut: each plane writer then re-encodes the frame as a delta
-	// against its own connection's last cut at flush time, falling back
-	// to the shared full encoding in buf. Immutable once enqueued.
-	msg    types.Message
-	cut    types.Cut
-	hasCut bool
 }
 
 var framePool = sync.Pool{New: func() any { return new(frame) }}
@@ -125,9 +107,6 @@ func (f *frame) release() {
 	if f.refs.Add(-1) == 0 {
 		f.buf.Release()
 		f.buf = nil
-		f.msg = nil
-		f.cut = types.Cut{}
-		f.hasCut = false
 		framePool.Put(f)
 	}
 }
@@ -321,12 +300,6 @@ func (m *TCPMesh) readLoop(conn net.Conn) {
 	stats := m.statsFor(from)
 	health := m.healthFor(from)
 	var lenBuf [4]byte
-	// Delta-cut receive state: the last cut this CONNECTION carried, in
-	// stream order. TCP ordering keeps it in lockstep with the sender's
-	// per-connection copy; a reconnect starts a fresh readLoop with no
-	// base, which is exactly the full-frame fallback.
-	var lastCut types.Cut
-	haveCut := false
 	for {
 		if _, err := io.ReadFull(conn, lenBuf[:]); err != nil {
 			return
@@ -350,40 +323,14 @@ func (m *TCPMesh) readLoop(conn net.Conn) {
 		stats.RecvFrames.Add(1)
 		stats.RecvBytes.Add(uint64(n) + 4)
 		health.lastRecv.Store(time.Now().UnixNano())
-		var msg types.Message
-		var err error
-		if wire.IsDeltaFrame(fr.Data()) {
-			// A delta that fails to reconstruct (no base, or a base
-			// mismatch) means connection state diverged: close the
-			// connection rather than guess — the peer's redial restarts
-			// from full encodings.
-			msg, err = wire.DecodeDeltaFrom(fr.Data(), lastCut, haveCut)
-			if err != nil {
-				fr.Release()
-				m.logger.Printf("transport: delta decode from %s: %v", from, err)
-				return
-			}
-		} else if msg, err = wire.DecodeFrom(fr.Data()); err != nil {
+		msg, err := wire.DecodeFrom(fr.Data())
+		if err != nil {
+			// An undecodable frame (garbage, or a type this build does not
+			// know) is dropped; the length prefix kept the stream in sync,
+			// so the connection stays open.
 			fr.Release()
 			m.logger.Printf("transport: decode from %s: %v", from, err)
 			continue
-		}
-		if cut, ok := wire.CutCarrier(msg); ok {
-			// Clone: the decoded cut aliases fr, whose buffer recycles if
-			// a downstream stage drops the message; connection state must
-			// own its memory.
-			lastCut = cut.Clone()
-			haveCut = true
-		}
-		if m.gossip != nil {
-			if p, ok := msg.(*types.Proposal); ok {
-				if !m.gossip.firstSeen(p.Digest()) {
-					m.loop.ctrs.GossipDupDrops.Add(1)
-					fr.Release()
-					continue
-				}
-				m.relayCar(fr.Data(), from, p.Lane)
-			}
 		}
 		m.loop.DeliverFramed(from, msg, fr)
 	}
@@ -414,13 +361,6 @@ func (m *TCPMesh) encodeFrame(msg types.Message) *frame {
 	f := framePool.Get().(*frame)
 	f.buf = buf
 	f.refs.Store(1)
-	if m.deltaCuts {
-		if cut, ok := wire.CutCarrier(msg); ok {
-			f.msg = msg
-			f.cut = cut
-			f.hasCut = true
-		}
-	}
 	return f
 }
 
@@ -428,20 +368,6 @@ func (m *TCPMesh) encodeFrame(msg types.Message) *frame {
 // before Start; nil disables). Loopback (self) deliveries are unaffected
 // — a real network cannot touch them.
 func (m *TCPMesh) SetLinkFaults(f *LinkFaults) { m.faults = f }
-
-// EnableGossip switches car dissemination from full-mesh broadcast to
-// seeded fanout-k gossip (see gossip.go). Call before Start. A fanout
-// at or above the peer count degenerates to full mesh.
-func (m *TCPMesh) EnableGossip(fanout int, seed uint64) {
-	m.gossip = newGossipState(fanout, seed)
-	m.gossipPeers = sortedPeers(m.addrs, m.self)
-}
-
-// EnableDeltaCuts makes this node's plane writers delta-compress
-// cut-bearing control frames against each connection's previous cut
-// (see wire/delta.go). Call before Start. Receiving delta frames needs
-// no flag — every mesh decodes them.
-func (m *TCPMesh) EnableDeltaCuts() { m.deltaCuts = true }
 
 // deliverFrame routes one frame to a peer through the fault injector (if
 // any): it may be dropped, duplicated, or re-enter the queue later from a
@@ -498,29 +424,11 @@ func (m *TCPMesh) Send(_, to types.NodeID, msg types.Message) {
 
 // Broadcast implements Sender: the message is encoded once and the same
 // reference-counted frame is enqueued to every peer (writers only read
-// it), instead of paying the encoding n-1 times. With gossip enabled,
-// cars go to a fanout-k sample instead of every peer; relays finish the
-// dissemination (see gossip.go).
+// it), instead of paying the encoding n-1 times.
 func (m *TCPMesh) Broadcast(_ types.NodeID, msg types.Message) {
 	f := m.encodeFrame(msg)
 	if f == nil {
 		return
-	}
-	if m.gossip != nil && msg.Type() == types.MsgProposal {
-		if p, ok := msg.(*types.Proposal); ok {
-			// Mark own cars seen so a stray relay loop back to the origin
-			// is dropped, not re-relayed. Retransmissions re-enter here and
-			// draw a FRESH sample — the liveness backstop reaches peers the
-			// first sample's relay graph missed.
-			m.gossip.firstSeen(p.Digest())
-			targets := m.gossip.sample(m.gossipPeers, func(types.NodeID) bool { return false })
-			for _, id := range targets {
-				m.deliverFrame(id, f, planeData)
-			}
-			m.loop.ctrs.GossipOrigin.Add(1)
-			f.release()
-			return
-		}
 	}
 	plane := planeOf(msg.Type())
 	for id := range m.addrs {
@@ -528,32 +436,6 @@ func (m *TCPMesh) Broadcast(_ types.NodeID, msg types.Message) {
 			m.deliverFrame(id, f, plane)
 		}
 	}
-	f.release()
-}
-
-// relayCar forwards a first-seen car's raw frame bytes (one copy into a
-// pooled buffer, shared by reference across the sampled relay peers),
-// excluding the peer that sent it and the origin lane. Runs on the read
-// goroutine before signature verification: one hash check per hop, with
-// k-bounded amplification as the worst case for a forged car.
-func (m *TCPMesh) relayCar(payload []byte, from, origin types.NodeID) {
-	targets := m.gossip.sample(m.gossipPeers, func(id types.NodeID) bool {
-		return id == from || id == origin
-	})
-	if len(targets) == 0 {
-		return
-	}
-	buf := wire.GetBuf(4 + len(payload))
-	buf.B = append(buf.B, 0, 0, 0, 0)
-	buf.B = append(buf.B, payload...)
-	binary.LittleEndian.PutUint32(buf.B, uint32(len(payload)))
-	f := framePool.Get().(*frame)
-	f.buf = buf
-	f.refs.Store(1)
-	for _, id := range targets {
-		m.deliverFrame(id, f, planeData)
-	}
-	m.loop.ctrs.GossipRelays.Add(1)
 	f.release()
 }
 
@@ -638,13 +520,6 @@ func (m *TCPMesh) writeLoop(to types.NodeID, st *stream) {
 // streamFrames drains the plane's queue into coalesced writev batches:
 // one blocking receive, then an opportunistic drain up to the coalescing
 // limits, then a single net.Buffers write for the whole run of frames.
-//
-// With delta cuts enabled, cut-bearing frames are re-encoded here — per
-// connection, against the previous cut sent ON THIS CONNECTION, in
-// stream order — and the delta replaces the shared full encoding when
-// it is smaller. The state is local to one streamFrames call, so a
-// reconnect (new call) naturally restarts from full frames, mirroring
-// the receiver's per-connection state in readLoop.
 func (m *TCPMesh) streamFrames(conn net.Conn, st *stream) error {
 	batch := make([]*frame, 0, coalesceFrames)
 	// scratch backs each flush's net.Buffers. WriteTo consumes the
@@ -653,9 +528,6 @@ func (m *TCPMesh) streamFrames(conn net.Conn, st *stream) error {
 	// shrink its capacity to nothing and put an allocation back on the
 	// hot path.
 	scratch := make([][]byte, 0, coalesceFrames)
-	deltas := make([]*wire.Buf, 0, coalesceFrames)
-	var lastCut types.Cut
-	haveCut := false
 	for {
 		select {
 		case <-m.stopped:
@@ -674,32 +546,8 @@ func (m *TCPMesh) streamFrames(conn net.Conn, st *stream) error {
 				}
 			}
 			scratch = scratch[:0]
-			deltas = deltas[:0]
-			wrote := 0
 			for _, fr := range batch {
-				b := fr.buf.B
-				if fr.hasCut {
-					if haveCut {
-						db := wire.GetBuf(len(b))
-						db.B = append(db.B, 0, 0, 0, 0)
-						var err error
-						db.B, err = wire.EncodeDeltaTo(db.B, fr.msg, lastCut)
-						if err == nil && len(db.B) < len(b) {
-							binary.LittleEndian.PutUint32(db.B, uint32(len(db.B)-4))
-							deltas = append(deltas, db)
-							b = db.B
-							st.ctr.DeltaFrames.Add(1)
-						} else {
-							// Delta unavailable or not smaller: keep the
-							// shared full frame.
-							db.Release()
-						}
-					}
-					lastCut = fr.cut
-					haveCut = true
-				}
-				scratch = append(scratch, b)
-				wrote += len(b)
+				scratch = append(scratch, fr.buf.B)
 			}
 			bufs := net.Buffers(scratch)
 			// Mark the write in flight: if WriteTo blocks past the stall
@@ -710,12 +558,7 @@ func (m *TCPMesh) streamFrames(conn net.Conn, st *stream) error {
 			_, err := bufs.WriteTo(conn)
 			st.writeStart.Store(0)
 			if err != nil {
-				// Re-queue best effort (references kept, full encodings —
-				// the new connection re-derives its own delta state), then
-				// redial.
-				for _, db := range deltas {
-					db.Release()
-				}
+				// Re-queue best effort (references kept), then redial.
 				for _, fr := range batch {
 					select {
 					case st.out <- fr:
@@ -728,11 +571,8 @@ func (m *TCPMesh) streamFrames(conn net.Conn, st *stream) error {
 			}
 			st.ctr.Frames.Add(uint64(len(batch)))
 			st.ctr.Flushes.Add(1)
-			st.ctr.Bytes.Add(uint64(wrote))
+			st.ctr.Bytes.Add(uint64(total))
 			st.health.lastSend.Store(time.Now().UnixNano())
-			for _, db := range deltas {
-				db.Release()
-			}
 			for _, fr := range batch {
 				fr.release()
 			}

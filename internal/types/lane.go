@@ -199,29 +199,6 @@ func (c Cut) Digest() Digest {
 	return d
 }
 
-// Clone returns a deep copy sharing no memory with c: tips,
-// certificates, shares and signature bytes are all freshly allocated.
-// Holders that outlive the message that carried the cut must clone —
-// decoded messages alias pooled transport frames, which recycle when
-// the message is dropped (the delta-cut connection state is the
-// canonical case).
-func (c Cut) Clone() Cut {
-	tips := make([]TipRef, len(c.Tips))
-	copy(tips, c.Tips)
-	for i := range tips {
-		if cert := tips[i].Cert; cert != nil {
-			cc := *cert
-			cc.Shares = make([]SigShare, len(cert.Shares))
-			copy(cc.Shares, cert.Shares)
-			for j := range cc.Shares {
-				cc.Shares[j].Sig = append([]byte(nil), cc.Shares[j].Sig...)
-			}
-			tips[i].Cert = &cc
-		}
-	}
-	return Cut{Tips: tips}
-}
-
 // Validate checks structural sanity: exactly n tips, one per lane, in
 // lane order.
 func (c Cut) Validate(committee Committee) error {

@@ -219,3 +219,38 @@ func TestUnknownTypeRejected(t *testing.T) {
 		t.Fatal("empty input accepted")
 	}
 }
+
+// TestGenericDecodeRejectsDelta: 0xF4 and 0xF5 are the type bytes older
+// builds used for delta-compressed Prepare and CommitNotice frames. A
+// peer still sending them must be refused, even when the body behind the
+// type byte is a well-formed Prepare or CommitNotice.
+func TestGenericDecodeRejectsDelta(t *testing.T) {
+	cases := []struct {
+		typ byte
+		msg types.Message
+	}{
+		{0xF4, &types.Prepare{
+			Leader:   3,
+			Proposal: types.ConsensusProposal{Slot: 5, View: 0, Cut: sampleCut()},
+			Ticket:   types.Ticket{Kind: types.TicketCommit},
+			Sig:      sig(5),
+		}},
+		{0xF5, &types.CommitNotice{
+			QC:       types.CommitQC{Slot: 5, View: 0, Digest: types.Digest{6}, Shares: []types.SigShare{{Signer: 0, Sig: sig(12)}}},
+			Proposal: types.ConsensusProposal{Slot: 5, View: 0, Cut: sampleCut()},
+		}},
+	}
+	for _, c := range cases {
+		data, err := Encode(c.msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[0] = c.typ
+		if _, err := Decode(data); err == nil {
+			t.Fatalf("generic Decode accepted a %#x frame", c.typ)
+		}
+		if _, err := DecodeFrom(data); err == nil {
+			t.Fatalf("generic DecodeFrom accepted a %#x frame", c.typ)
+		}
+	}
+}

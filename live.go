@@ -106,22 +106,18 @@ func NewLiveCluster(o Options) (*LiveCluster, error) {
 			MaxBatchDelay: o.MaxBatchDelay,
 		}))
 	}
-	if o.GossipFanout > 0 {
-		lc.mesh.EnableGossip(o.GossipFanout, o.seedOr(1))
-	}
 	lc.mu = make([]sync.Mutex, o.N)
 	return lc, nil
 }
 
 // LoopStats snapshots a replica's event-loop counters (ingress queue
-// accounting plus gossip origin/relay/dup-drop counts).
+// accounting).
 func (c *LiveCluster) LoopStats(id types.NodeID) metrics.LoopSnapshot {
 	return c.mesh.Loop(id).Counters()
 }
 
 // PlaneBytes returns a replica's cumulative outbound bytes on the
-// control and data planes (gossip relays included) — the counters the
-// committee benchmark asserts its bandwidth claims against.
+// control and data planes.
 func (c *LiveCluster) PlaneBytes(id types.NodeID) (control, data uint64) {
 	return c.mesh.PlaneBytes(id)
 }

@@ -160,14 +160,6 @@ func NewReplica(self types.NodeID, addrs map[types.NodeID]string, o Options, log
 	if o.LinkFaults != nil {
 		r.mesh.SetLinkFaults(o.LinkFaults)
 	}
-	if o.GossipFanout > 0 {
-		// Seed varies by replica so relay samples differ across the
-		// committee (a shared seed would correlate every node's graph).
-		r.mesh.EnableGossip(o.GossipFanout, o.seedOr(1)+uint64(self)*0x9e3779b97f4a7c15)
-	}
-	if o.DeltaCuts {
-		r.mesh.EnableDeltaCuts()
-	}
 	// The node implements runtime.PreVerifier, so the mesh's loop runs
 	// inbound signature checks on a parallel worker stage.
 	r.mesh.Loop().SetVerifyWorkers(o.VerifyWorkers)
