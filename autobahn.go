@@ -40,39 +40,21 @@ import (
 // Options configures an Autobahn deployment. The zero value plus N yields
 // the paper's evaluation configuration (§6): fast path on, optimistic
 // tips on, 1s view timeout, 1000-tx / 500KB batches sealed within 100ms.
+// Real-time deployments (LiveCluster, Replica) always sign and verify
+// with ed25519; the simulator charges crypto through its network model.
 type Options struct {
 	// N is the committee size (3f+1; required).
 	N int
 	// Seed drives deterministic key generation and simulation randomness.
 	Seed uint64
-	// VerifySignatures enables full ed25519 signing and verification.
-	// Real-time deployments should leave this on (default for Live/TCP);
-	// large simulations may disable it (the simulator charges crypto
-	// through its processing model instead).
-	VerifySignatures bool
 
-	// DisableFastPath turns off the single-round commit (§5.2.1).
-	DisableFastPath bool
-	// DisableOptimisticTips restricts cuts to certified tips (§5.5.2).
-	DisableOptimisticTips bool
 	// ViewTimeout is the consensus progress timer (default 1s).
 	ViewTimeout time.Duration
-	// MaxParallelSlots bounds concurrent consensus instances, k (§5.4,
-	// default 4).
-	MaxParallelSlots int
-	// Coverage is the lane-coverage threshold (§5.2.3, default n-f).
-	Coverage int
 
-	// MaxBatchTxs / MaxBatchBytes / MaxBatchDelay configure mempool
-	// batching (defaults 1000 / 500KB / 100ms, §6).
+	// MaxBatchTxs / MaxBatchDelay configure mempool batching (defaults
+	// 1000 / 100ms, §6; batches also seal at 500 KB).
 	MaxBatchTxs   int
-	MaxBatchBytes uint64
 	MaxBatchDelay time.Duration
-
-	// VerifyWorkers sizes the transport's parallel signature
-	// pre-verification stage (default GOMAXPROCS). Real-time runtimes
-	// only; the simulator charges crypto through its network model.
-	VerifyWorkers int
 
 	// DataShards sizes the parallel data plane: lane traffic (cars, lane
 	// votes, sync payloads) is processed on this many worker goroutines —
@@ -102,14 +84,8 @@ type Options struct {
 	// deployment's egress (LiveCluster: the in-process mesh; Replica: this
 	// replica's TCP mesh). Composes with Adversaries: behaviors decide
 	// what a replica sends, LinkFaults decides what the network does to
-	// it. See transport.NewLinkFaults.
+	// it. See transport.NewLinkFaults. Real-time runtimes only.
 	LinkFaults *transport.LinkFaults
-
-	// SequentialCerts is the large-committee benchmark baseline: disable
-	// certificate batch verification, whole-certificate memoization and
-	// the share memo, paying one raw signature verification per share on
-	// every certificate arrival. Requires VerifySignatures.
-	SequentialCerts bool
 
 	// Execution enables the deterministic execution layer: committed
 	// entries run through an account state machine (internal/exec) and
@@ -121,14 +97,13 @@ type Options struct {
 	// checkpoint and enabling snapshot-based state sync (a replica far
 	// behind fetches state in O(state) instead of replaying O(history)).
 	// 0 disables. Requires Execution; snapshots persist beside the WAL
-	// for a Replica (WALPath + ".snap") and in cluster-retained memory
-	// stores for simulated deployments.
+	// for a Replica (WALPath + ".snap") and in memory otherwise.
 	SnapshotEvery types.Slot
 
 	// WALPath, when set, makes a Replica journal its safety-critical
 	// protocol state to this write-ahead log before externalizing it and
 	// recover from it on restart (the paper's RocksDB persistence,
-	// substituted by internal/storage). Single-replica runtimes only.
+	// substituted by internal/storage). Replica only.
 	WALPath string
 	// WALSyncEvery fsyncs the journal after this many records (0 = rely
 	// on OS flush; each record is still written out immediately).
@@ -145,7 +120,7 @@ type Options struct {
 	// anything back for the timeout (or that holds an egress write
 	// blocked that long) has its connections torn down and redialed with
 	// jittered backoff, instead of wedging silently behind an open but
-	// dead TCP session. Replica (TCP) runtimes only; 0 disables.
+	// dead TCP session. Replica only; 0 disables.
 	StallTimeout time.Duration
 
 	// GatewayAddr, when set, attaches the client gateway tier to a
@@ -154,7 +129,7 @@ type Options struct {
 	// and priority shedding, and streamed commit acknowledgments (see
 	// internal/gateway). It is the only client-facing listener a Replica
 	// has: clients speak the gateway protocol (gateway.Client,
-	// autobahn-client). Replica (TCP) runtimes only.
+	// autobahn-client). Replica only.
 	GatewayAddr string
 	// Gateway tunes the gateway tier (window sizes, admission depth
 	// bounds, frame cap); the zero value gets defaults. Only meaningful
@@ -164,16 +139,27 @@ type Options struct {
 
 func (o Options) committee() types.Committee { return types.NewCommittee(o.N) }
 
-// validateAdversaries enforces the ≤ f bound at configuration time:
-// every quorum argument (PoA f+1, consensus 2f+1, mutiny f+1) assumes
-// at most f Byzantine replicas, so a scenario exceeding it would report
-// protocol "violations" that are really misconfigurations.
-func (o Options) validateAdversaries() error {
-	if len(o.Adversaries) == 0 {
-		return nil
+// deployment names the runtime an Options value configures, for the
+// knobs only some runtimes honour.
+type deployment uint8
+
+const (
+	simulated deployment = iota
+	inProcess
+	overTCP
+)
+
+// validate checks at construction the preconditions Options documents,
+// so a misconfiguration fails loudly instead of being silently ignored.
+// The ≤ f adversary bound matters most: every quorum argument (PoA f+1,
+// consensus 2f+1, mutiny f+1) assumes at most f Byzantine replicas, so a
+// scenario exceeding it would report protocol "violations" that are
+// really misconfigurations.
+func (o Options) validate(d deployment) error {
+	if o.N < 1 || (o.N > 1 && o.N < 4) {
+		return fmt.Errorf("autobahn: committee size %d cannot tolerate any fault (need n >= 4)", o.N)
 	}
-	f := (o.N - 1) / 3
-	if len(o.Adversaries) > f {
+	if f := (o.N - 1) / 3; len(o.Adversaries) > f {
 		return fmt.Errorf("autobahn: %d adversaries exceeds f=%d for n=%d", len(o.Adversaries), f, o.N)
 	}
 	for id := range o.Adversaries {
@@ -181,14 +167,17 @@ func (o Options) validateAdversaries() error {
 			return fmt.Errorf("autobahn: adversary %s outside committee of %d", id, o.N)
 		}
 	}
-	return nil
-}
-
-func (o Options) suite() crypto.Suite {
-	if o.VerifySignatures {
-		return crypto.NewEd25519Suite(o.N, o.seedOr(1))
+	switch {
+	case o.SnapshotEvery > 0 && !o.Execution:
+		return fmt.Errorf("autobahn: SnapshotEvery requires Execution")
+	case o.WALFaults != nil && o.WALPath == "":
+		return fmt.Errorf("autobahn: WALFaults requires WALPath")
+	case d != overTCP && (o.WALPath != "" || o.StallTimeout != 0 || o.GatewayAddr != ""):
+		return fmt.Errorf("autobahn: WALPath, StallTimeout and GatewayAddr configure a Replica only")
+	case d == simulated && (o.DataShards != 0 || len(o.Adversaries) > 0 || o.LinkFaults != nil):
+		return fmt.Errorf("autobahn: DataShards, Adversaries and LinkFaults configure real-time runtimes only (simulations use SimOptions.Faults)")
 	}
-	return crypto.NewNopSuite(o.N)
+	return nil
 }
 
 func (o Options) seedOr(d uint64) uint64 {
@@ -213,22 +202,19 @@ func (o Options) dataShards() int {
 	return w
 }
 
-// nodeConfig translates Options into the internal replica configuration.
+// nodeConfig translates Options into the internal replica configuration
+// every deployment style shares.
 func (o Options) nodeConfig(self types.NodeID, suite crypto.Suite, sink runtime.CommitSink) core.Config {
 	return core.Config{
-		Committee:        o.committee(),
-		Self:             self,
-		Suite:            suite,
-		VerifySigs:       o.VerifySignatures,
-		SequentialVerify: o.SequentialCerts,
-		FastPath:         !o.DisableFastPath,
-		OptimisticTips:   !o.DisableOptimisticTips,
-		ViewTimeout:      o.ViewTimeout,
-		MaxParallel:      o.MaxParallelSlots,
-		Coverage:         o.Coverage,
-		Execution:        o.Execution,
-		SnapshotEvery:    o.SnapshotEvery,
-		Sink:             sink,
+		Committee:      o.committee(),
+		Self:           self,
+		Suite:          suite,
+		FastPath:       true,
+		OptimisticTips: true,
+		ViewTimeout:    o.ViewTimeout,
+		Execution:      o.Execution,
+		SnapshotEvery:  o.SnapshotEvery,
+		Sink:           sink,
 	}
 }
 
@@ -249,4 +235,11 @@ type Committed struct {
 	AppHash types.Digest
 	// At is the replica-local commit time (since deployment epoch).
 	At time.Duration
+}
+
+func committed(replica types.NodeID, at time.Duration, cm runtime.Committed) Committed {
+	return Committed{
+		Replica: replica, Lane: cm.Lane, Position: cm.Position,
+		Slot: cm.Slot, Batch: cm.Batch, AppHash: cm.AppHash, At: at,
+	}
 }

@@ -5,6 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/storage"
+	"repro/internal/transport"
 	"repro/internal/types"
 )
 
@@ -114,13 +116,34 @@ func TestLivePipelinePreVerifies(t *testing.T) {
 	}
 }
 
+// TestLiveClusterRejectsBadCommittee: a committee that tolerates no
+// fault, and options whose documented preconditions do not hold, fail
+// at construction instead of being silently ignored — in every
+// deployment style.
 func TestLiveClusterRejectsBadCommittee(t *testing.T) {
-	if _, err := NewLiveCluster(Options{N: 3}); err == nil {
-		t.Fatal("expected error for n=3 (tolerates no faults)")
+	for name, o := range map[string]Options{
+		"n=3 (tolerates no faults)":        {N: 3},
+		"n=0":                              {N: 0},
+		"snapshots without execution":      {N: 4, SnapshotEvery: 10},
+		"WAL in an in-process cluster":     {N: 4, WALPath: "x.wal"},
+		"gateway in an in-process cluster": {N: 4, GatewayAddr: "127.0.0.1:0"},
+	} {
+		if _, err := NewLiveCluster(o); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
-	if _, err := NewLiveCluster(Options{N: 0}); err == nil {
-		t.Fatal("expected error for n=0")
+	addrs := map[types.NodeID]string{0: "a", 1: "b", 2: "c", 3: "d"}
+	if _, err := NewReplica(0, addrs, Options{N: 4, WALFaults: &storage.FaultPlan{}}, nil); err == nil {
+		t.Error("Replica: WALFaults without WALPath accepted")
 	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("SimCluster: LinkFaults accepted (simulations schedule faults through SimOptions.Faults)")
+			}
+		}()
+		NewSimCluster(SimOptions{Options: Options{N: 4, LinkFaults: transport.NewLinkFaults(1)}})
+	}()
 }
 
 func TestSimClusterQuickstart(t *testing.T) {

@@ -14,7 +14,7 @@ import (
 // harness.TestSimSkewedLoadCadence, on the sharded data plane: clients
 // submit to replicas 0 and 1 only, so two of four lanes carry cars. Slots
 // must follow those two lanes' car cadence — started by coverage, not
-// released by the 50 ms CoverageDelay backstop — which shows as a
+// released by the 50 ms coverageDelay backstop — which shows as a
 // seal-to-commit median well under the backstop.
 func TestSkewedLoadSlotCadence(t *testing.T) {
 	if testing.Short() {
@@ -94,6 +94,6 @@ load:
 		bound = coverageDelay
 	}
 	if median >= bound {
-		t.Fatalf("seal-to-commit median %v, want < %v (CoverageDelay %v)", median, bound, coverageDelay)
+		t.Fatalf("seal-to-commit median %v, want < %v (coverageDelay %v)", median, bound, coverageDelay)
 	}
 }

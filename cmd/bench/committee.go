@@ -1,7 +1,7 @@
 // Committee-scaling cells: LiveCluster throughput/latency across
-// committee sizes (n = 4, 7, 16, 32), plus the large-committee
-// fast-path comparison — batch-verified certificates against the
-// sequential-verify baseline.
+// committee sizes (n = 4, 7, 16, 32) with batch-verified, memoized
+// certificates. (What batching buys over one inline check per share is
+// crypto's BenchmarkVerifyPipeline.)
 //
 // Each cell commits a FIXED load and reports completion throughput
 // (committed tx / elapsed-to-done): open-loop unpaced submission on a
@@ -39,10 +39,9 @@ type committeeCellResult struct {
 // transactions (submit timestamp embedded for end-to-end latency) in
 // 64-tx bursts with at most maxInFlight outstanding, then reports
 // committed throughput over the time to drain them all at replica 0.
-func committeeCell(n int, sequential bool, totalTx int, seed uint64) committeeCellResult {
+func committeeCell(n int, totalTx int, seed uint64) committeeCellResult {
 	lc, err := autobahn.NewLiveCluster(autobahn.Options{
-		N: n, Seed: seed, SequentialCerts: sequential,
-		MaxBatchTxs: 64, MaxBatchDelay: 5 * time.Millisecond,
+		N: n, Seed: seed, MaxBatchTxs: 64, MaxBatchDelay: 5 * time.Millisecond,
 	})
 	if err != nil {
 		panic(err)
@@ -111,21 +110,20 @@ func committeeCell(n int, sequential bool, totalTx int, seed uint64) committeeCe
 	return res
 }
 
-// runCommittee prints the committee-scaling curve and runs the
-// batch-vs-sequential certificate comparison, with failing shape checks
-// (see EXPERIMENTS.md "Committee scaling").
+// runCommittee prints the committee-scaling curve, with failing shape
+// checks (see EXPERIMENTS.md "Committee scaling").
 func runCommittee(quick bool, seed uint64) {
 	totalTx := 19200
 	if quick {
 		totalTx = 6400
 	}
 
-	// Scaling curve: default configuration (batch-verified, memoized
-	// certificates), symmetric load.
+	// Scaling curve: batch-verified, memoized certificates, symmetric
+	// load.
 	fmt.Printf("%-4s %12s %10s %14s\n", "n", "tx/s", "p99", "cert memo hits")
 	curve := make(map[int]committeeCellResult)
 	for _, n := range []int{4, 7, 16, 32} {
-		r := committeeCell(n, false, totalTx, seed)
+		r := committeeCell(n, totalTx, seed)
 		curve[n] = r
 		fmt.Printf("%-4d %12.0f %10s %14d\n", n, r.tput, r.p99.Round(time.Millisecond), r.certHits)
 		record(fmt.Sprintf("tput_n%d", n), r.tput)
@@ -135,18 +133,4 @@ func runCommittee(quick bool, seed uint64) {
 	check(curve[16].committed >= uint64(totalTx), "n=16 cell commits the full load")
 	check(curve[32].committed >= uint64(totalTx), "n=32 cell commits the full load")
 	check(curve[16].certHits > 0, "whole-certificate memo takes hits at n=16")
-
-	// Batch-verified certificates vs the sequential-verify baseline at
-	// n=16: same cluster, same load, verification strategy flipped.
-	seq := committeeCell(16, true, totalTx, seed)
-	ratio := 0.0
-	if seq.tput > 0 {
-		ratio = curve[16].tput / seq.tput
-	}
-	fmt.Printf("\nn=16 verify: batch %8.0f tx/s vs sequential %8.0f tx/s (%.2fx)\n",
-		curve[16].tput, seq.tput, ratio)
-	record("tput_n16_sequential", seq.tput)
-	record("batch_vs_seq_ratio_n16", ratio)
-	check(ratio >= 1.3, "batch-verified certificates beat sequential verify by >=1.3x at n=16")
-
 }

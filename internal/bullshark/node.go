@@ -22,30 +22,27 @@ import (
 	"repro/internal/types"
 )
 
+const (
+	// maxRefsPerHeader bounds batch references per header — the
+	// round-paced dissemination that slows post-partition recovery.
+	maxRefsPerHeader = 32
+	// anchorWait is how long a replica waits for the anchor certificate
+	// beyond the 2f+1 quorum before advancing rounds, the
+	// partially-synchronous Bullshark timeout.
+	anchorWait = 150 * time.Millisecond
+)
+
 // Config parameterizes a Bullshark replica.
 type Config struct {
 	Committee  types.Committee
 	Self       types.NodeID
 	Suite      crypto.Suite
 	VerifySigs bool
-	// MaxRefsPerHeader bounds batch references per header (default 32) —
-	// the round-paced dissemination that slows post-partition recovery.
-	MaxRefsPerHeader int
-	// AnchorWait is how long a replica waits for the anchor certificate
-	// beyond the 2f+1 quorum before advancing rounds (default 150ms),
-	// the partially-synchronous Bullshark timeout.
-	AnchorWait time.Duration
 	// Sink receives execution-ready batches.
 	Sink runtime.CommitSink
 }
 
 func (c *Config) fill() {
-	if c.MaxRefsPerHeader == 0 {
-		c.MaxRefsPerHeader = 32
-	}
-	if c.AnchorWait == 0 {
-		c.AnchorWait = 150 * time.Millisecond
-	}
 	if c.Sink == nil {
 		c.Sink = runtime.NopSink
 	}
@@ -291,7 +288,7 @@ func (n *Node) certOf(r Round, author types.NodeID) *Cert {
 // --- header production & round advancement ---
 
 func (n *Node) produceHeader(ctx runtime.Context) {
-	take := min(len(n.unproposed), n.cfg.MaxRefsPerHeader)
+	take := min(len(n.unproposed), maxRefsPerHeader)
 	h := &Header{
 		Author: n.cfg.Self,
 		Round:  n.round,
@@ -354,7 +351,7 @@ func (n *Node) tryAdvance(ctx runtime.Context, timedOut bool) {
 				if _, ok := byAuthor[n.anchorAuthor(w)]; !ok {
 					if !n.anchorTimerArmed {
 						n.anchorTimerArmed = true
-						ctx.SetTimer(n.cfg.AnchorWait, runtime.TimerTag{Kind: tagAnchorWait, A: uint64(n.round)})
+						ctx.SetTimer(anchorWait, runtime.TimerTag{Kind: tagAnchorWait, A: uint64(n.round)})
 					}
 					return
 				}

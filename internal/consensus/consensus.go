@@ -123,9 +123,6 @@ type Config struct {
 
 	// FastPath enables the single-round commit on n votes (§5.2.1).
 	FastPath bool
-	// FastPathWait is how long the leader waits beyond 2f+1 votes for the
-	// full n (default 20ms).
-	FastPathWait time.Duration
 	// OptimisticTips lets leaders propose uncertified tips (§5.5.2).
 	OptimisticTips bool
 	// WeakVotes enables the §5.5.2 voting refinement: a replica missing an
@@ -140,45 +137,32 @@ type Config struct {
 	// MaxParallel is k, the bound on concurrent slot instances (§5.4;
 	// default 4).
 	MaxParallel int
-	// Coverage is the lane-coverage threshold (default n-f new tips).
-	Coverage int
-	// CoverageDelay relaxes coverage for a slot after this long so data
-	// tails commit under low load (default 50ms).
-	CoverageDelay time.Duration
-	// MinProposalGap paces consecutive proposals by the same leader
-	// (default 5ms).
-	MinProposalGap time.Duration
 	// Journal durably records votes, acks, timeouts and commits before
 	// they are externalized (nil = no persistence).
 	Journal Journal
-	// Trace, when non-nil, receives verbose engine events (tests only).
-	Trace func(format string, args ...any)
 }
 
-func (e *Engine) trace(format string, args ...any) {
-	if e.cfg.Trace != nil {
-		e.cfg.Trace(format, args...)
-	}
-}
+// Engine timing, fixed at the paper's evaluation setup (§6).
+const (
+	// fastPathWait is how long the leader waits beyond 2f+1 votes for the
+	// full n.
+	fastPathWait = 20 * time.Millisecond
+	// coverageDelay relaxes coverage for a slot after this long so data
+	// tails commit under low load.
+	coverageDelay = 50 * time.Millisecond
+	// minProposalGap paces consecutive proposals by the same leader.
+	minProposalGap = 5 * time.Millisecond
+)
+
+// coverage is the lane-coverage threshold: n-f new tips (§5.2.3).
+func (c *Config) coverage() int { return c.Committee.Size() - c.Committee.F() }
 
 func (c *Config) fill() {
-	if c.FastPathWait == 0 {
-		c.FastPathWait = 20 * time.Millisecond
-	}
 	if c.ViewTimeout == 0 {
 		c.ViewTimeout = time.Second
 	}
 	if c.MaxParallel == 0 {
 		c.MaxParallel = 4
-	}
-	if c.Coverage == 0 {
-		c.Coverage = c.Committee.Size() - c.Committee.F()
-	}
-	if c.CoverageDelay == 0 {
-		c.CoverageDelay = 50 * time.Millisecond
-	}
-	if c.MinProposalGap == 0 {
-		c.MinProposalGap = 5 * time.Millisecond
 	}
 	if c.Journal == nil {
 		c.Journal = nopJournal{}
@@ -383,9 +367,9 @@ func (e *Engine) Frontier() types.Slot { return e.frontier }
 func (e *Engine) MaxDecided() types.Slot { return e.maxDecided }
 
 // StartCounts tallies this replica's view-0 proposals by what let the
-// slot start: Covered met the configured Coverage threshold, Lowered met
+// slot start: Covered met the n-f coverage threshold, Lowered met
 // a threshold that idle lanes had lowered (coverageNeed), Backstop was
-// released by the CoverageDelay timer with neither met. A backstop share
+// released by the coverageDelay timer with neither met. A backstop share
 // near 1 under load means every slot waits out the timer: the threshold
 // does not fit the load.
 type StartCounts struct {
@@ -473,13 +457,10 @@ func (e *Engine) evalStart(s types.Slot) {
 	newTips := e.provider.NewTipCount(e.coverageBase(st))
 	need := e.coverageNeed(st)
 	covered := newTips >= need
-	if e.cfg.Trace != nil && e.cfg.Committee.Leader(s, 0) == e.cfg.Self && !st.proposed {
-		e.trace("t=%v %s evalStart s=%d tips=%d need=%d relaxed=%v", e.env.Now(), e.cfg.Self, s, newTips, need, st.coverageRelaxed)
-	}
 	if !covered && !(st.coverageRelaxed && newTips >= 1) {
 		if !st.coverageTimerSet {
 			st.coverageTimerSet = true
-			e.env.SetTimer(Timer{Kind: TimerCoverage, Slot: s, Delay: e.cfg.CoverageDelay})
+			e.env.SetTimer(Timer{Kind: TimerCoverage, Slot: s, Delay: coverageDelay})
 		}
 		return
 	}
@@ -493,7 +474,7 @@ func (e *Engine) evalStart(s types.Slot) {
 		switch {
 		case !covered:
 			e.startsBackstop.Add(1)
-		case need < e.cfg.Coverage:
+		case need < e.cfg.coverage():
 			e.startsLowered.Add(1)
 		default:
 			e.startsCovered.Add(1)
@@ -502,17 +483,17 @@ func (e *Engine) evalStart(s types.Slot) {
 }
 
 // coverageNeed is how many lanes must show a tip beyond the coverage base
-// before slot st starts without waiting for the CoverageDelay backstop:
-// min(Coverage, A), floor 1, where A counts the lanes that advanced inside
+// before slot st starts without waiting for the coverageDelay backstop:
+// min(coverage, A), floor 1, where A counts the lanes that advanced inside
 // the slot's parallel window — from the cut committed at s-k (the slot's
 // own ticket, so it is always known here) to the parent's cut. A lane that
 // did not move across those k-1 cuts is idle, and waiting for it can only
 // end in the backstop (DESIGN.md §1.15). A tip at or below the ticket's is
 // stale, not an advance. The genesis window, a slot whose parent cut was
-// never observed and k < 3 keep the configured threshold: a window of one
+// never observed and k < 3 keep the n-f threshold: a window of one
 // cut cannot climb back once a single relaxed slot has lowered it.
 func (e *Engine) coverageNeed(st *slotState) int {
-	need := e.cfg.Coverage
+	need := e.cfg.coverage()
 	k := types.Slot(e.cfg.MaxParallel)
 	if k < 3 || st.slot <= k || st.parentCutPos == nil {
 		return need
@@ -540,9 +521,9 @@ func (e *Engine) coverageNeed(st *slotState) int {
 // pacing deferred it (a timer retries).
 func (e *Engine) propose(st *slotState) bool {
 	now := e.env.Now()
-	if now < e.lastPropose+e.cfg.MinProposalGap {
+	if now < e.lastPropose+minProposalGap {
 		// Pace proposals: retry when the gap elapses.
-		e.env.SetTimer(Timer{Kind: TimerCoverage, Slot: st.slot, Delay: e.lastPropose + e.cfg.MinProposalGap - now})
+		e.env.SetTimer(Timer{Kind: TimerCoverage, Slot: st.slot, Delay: e.lastPropose + minProposalGap - now})
 		return false
 	}
 	ticket, ok := e.ticketFor(st.slot)
@@ -555,7 +536,6 @@ func (e *Engine) propose(st *slotState) bool {
 	prep.Sig = e.cfg.Signer.Sign(prep.SigningBytes())
 	st.proposed = true
 	st.myPrepare[0] = prep
-	e.trace("t=%v %s propose s=%d", e.env.Now(), e.cfg.Self, st.slot)
 	e.lastPropose = now
 	e.env.Broadcast(prep)
 	e.processPrepare(e.cfg.Self, prep) // leader self-processes (stores + votes)
@@ -661,7 +641,6 @@ func (e *Engine) tryPrepVote(st *slotState, prep *types.Prepare) {
 		}
 		if len(missing) > 0 {
 			st.pendingVote = prep
-			e.trace("t=%v %s vote-blocked s=%d v=%d missing=%d lane0=%v pos=%d", e.env.Now(), e.cfg.Self, s, v, len(missing), missing[0].Lane, missing[0].Position)
 			e.env.FetchTipData(prep.Leader, missing, s, v)
 			if e.cfg.WeakVotes && !st.votedWeak[v] {
 				// §5.5.2 refinement: assert agreement now, availability
@@ -674,7 +653,6 @@ func (e *Engine) tryPrepVote(st *slotState, prep *types.Prepare) {
 	}
 	st.pendingVote = nil
 	st.votedPrep[v] = true
-	e.trace("t=%v %s vote s=%d v=%d", e.env.Now(), e.cfg.Self, s, v)
 	e.sendPrepVote(st, prep, true)
 }
 
@@ -805,7 +783,7 @@ func (e *Engine) leaderCheckQuorum(st *slotState, v types.View) {
 		if e.cfg.FastPath && !st.fastArmed && !st.sentConfrm[v] {
 			// Wait a beat for the full n (§5.2.1 Fast Path).
 			st.fastArmed = true
-			e.env.SetTimer(Timer{Kind: TimerFast, Slot: st.slot, View: v, Delay: e.cfg.FastPathWait})
+			e.env.SetTimer(Timer{Kind: TimerFast, Slot: st.slot, View: v, Delay: fastPathWait})
 			return
 		}
 		if !e.cfg.FastPath && !st.sentConfrm[v] {
@@ -992,7 +970,6 @@ func (e *Engine) deliverCommit(st *slotState, qc *types.CommitQC, prop *types.Co
 		return
 	}
 	st.decided = true
-	e.trace("t=%v %s decide s=%d v=%d fast=%v", e.env.Now(), e.cfg.Self, st.slot, qc.View, qc.Fast)
 	st.commitQC = qc
 	st.committed = prop
 	st.pendingVote = nil

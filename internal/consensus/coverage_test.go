@@ -127,13 +127,13 @@ func skewedLeader() (*Engine, *mockEnv, *mockProvider) {
 		pos[1]++
 		commitCut(e, s, pos)
 	}
-	env.now += e.cfg.MinProposalGap // clear the pacing of earlier slots' proposals
+	env.now += minProposalGap // clear the pacing of earlier slots' proposals
 	return e, env, prov
 }
 
 // TestCoverageStartCauses drives evalStart at the leader of a slot whose
 // window shows two active lanes: one new tip does not start it, two do
-// (a lowered start), and after the CoverageDelay backstop one is enough —
+// (a lowered start), and after the coverageDelay backstop one is enough —
 // relaxed still means at least one new tip, never zero.
 func TestCoverageStartCauses(t *testing.T) {
 	const slot = skewedSlot

@@ -30,6 +30,9 @@ const (
 	tagCarRetx
 )
 
+// fetchTick is the sync retry granularity.
+const fetchTick = 100 * time.Millisecond
+
 // carRetransmit is how often a still-uncertified own car is re-broadcast
 // (crash/partition recovery: lost proposals or votes must be repeated).
 const carRetransmit = 500 * time.Millisecond
@@ -69,21 +72,6 @@ type Config struct {
 	Reputation bool
 	// ViewTimeout is the consensus progress timer (default 1s).
 	ViewTimeout time.Duration
-	// FastPathWait is the leader's extra wait for n votes (default 20ms).
-	FastPathWait time.Duration
-	// MaxParallel bounds concurrent consensus slots, k (default 4).
-	MaxParallel int
-	// Coverage is the lane-coverage threshold (default n-f).
-	Coverage int
-	// CoverageDelay relaxes coverage after this long (default 50ms).
-	CoverageDelay time.Duration
-	// MinProposalGap paces consecutive proposals (default 5ms).
-	MinProposalGap time.Duration
-	// FetchTick is the sync retry granularity (default 100ms).
-	FetchTick time.Duration
-	// PipelineCars allows multiple un-certified own cars in flight
-	// (§5.5.1; default 1 = disabled, matching the paper's prototype).
-	PipelineCars int
 
 	// Shards partitions the data plane (see shard.go): lane i belongs to
 	// shard i mod max(Shards, 1). When > 1 and the runtime honors
@@ -93,13 +81,6 @@ type Config struct {
 	// the control goroutine. Values above the committee size are clamped —
 	// a shard without a lane would never receive an event.
 	Shards int
-
-	// SequentialVerify is the large-committee baseline switch: the
-	// verifier is used raw — no share memo, no whole-certificate memo,
-	// no parallel striping — so every certificate costs its full
-	// per-share signature-verification bill on every arrival. Benchmarks
-	// only; requires VerifySigs.
-	SequentialVerify bool
 
 	// Journal durably records safety-critical protocol state before it is
 	// externalized, and seeds recovery on restart (default: NopJournal —
@@ -142,15 +123,9 @@ type Config struct {
 	Snapshots SnapshotStore
 	// Sink receives the totally ordered, execution-ready batches.
 	Sink runtime.CommitSink
-	// ConsensusTrace, when non-nil, receives verbose consensus engine
-	// events (tests only).
-	ConsensusTrace func(format string, args ...any)
 }
 
 func (c *Config) fill() {
-	if c.FetchTick == 0 {
-		c.FetchTick = 100 * time.Millisecond
-	}
 	if c.Sink == nil {
 		c.Sink = runtime.NopSink
 	}
@@ -351,16 +326,9 @@ func NewNode(cfg Config) *Node {
 		noticeFrom:    cfg.Self,
 	}
 	if cfg.VerifySigs {
-		if cfg.SequentialVerify {
-			// Benchmark baseline: the marker wrapper pins quorum helpers
-			// and BatchVerifier to one raw Verify per share — no memo, no
-			// batching, no striping.
-			n.verifier = crypto.Sequential(n.verifier)
-		} else {
-			n.vcache = crypto.NewVerifyCache(n.verifier, 0)
-			n.verifier = n.vcache
-			n.signer = n.vcache.Signer(n.signer)
-		}
+		n.vcache = crypto.NewVerifyCache(n.verifier, 0)
+		n.verifier = n.vcache
+		n.signer = n.vcache.Signer(n.signer)
 	}
 	n.lanePV = lane.PreVerifier{Committee: cfg.Committee, Verifier: n.verifier}
 	n.consPV = consensus.PreVerifier{
@@ -382,7 +350,6 @@ func NewNode(cfg Config) *Node {
 		Signer:          n.signer,
 		Verifier:        n.verifier,
 		VerifyProposals: cfg.VerifySigs,
-		PipelineCars:    cfg.PipelineCars,
 		Journal:         laneJournal{cfg.Journal},
 	})
 	n.orderer = order.NewOrderer(cfg.Committee, n.lanes.Store())
@@ -394,16 +361,10 @@ func NewNode(cfg Config) *Node {
 		Verifier:       n.verifier,
 		VerifySigs:     cfg.VerifySigs,
 		FastPath:       cfg.FastPath,
-		FastPathWait:   cfg.FastPathWait,
 		OptimisticTips: cfg.OptimisticTips,
 		WeakVotes:      cfg.WeakVotes,
 		ViewTimeout:    cfg.ViewTimeout,
-		MaxParallel:    cfg.MaxParallel,
-		Coverage:       cfg.Coverage,
-		CoverageDelay:  cfg.CoverageDelay,
-		MinProposalGap: cfg.MinProposalGap,
 		Journal:        consJournal{n},
-		Trace:          cfg.ConsensusTrace,
 	}, (*consensusEnv)(n), (*cutProvider)(n))
 	n.sharded = cfg.Shards > 1
 	n.tips = newTipTable(cfg.Committee.Size(), cfg.Self)
@@ -492,7 +453,7 @@ func (n *Node) Stats() Stats { return n.stats.snapshot() }
 
 // CertCacheStats reports the whole-certificate verdict memo's hit/miss
 // counters — the observability hook for the batch-verification fast
-// path. Zero without VerifySigs, and with SequentialVerify (no memo).
+// path. Zero without VerifySigs.
 func (n *Node) CertCacheStats() (hits, misses uint64) {
 	if n.vcache == nil {
 		return 0, 0
@@ -537,7 +498,7 @@ func (n *Node) Init(ctx runtime.Context) {
 		}
 		n.replaying = false
 	}
-	ctx.SetTimer(n.cfg.FetchTick, runtime.TimerTag{Kind: tagFetchTick})
+	ctx.SetTimer(fetchTick, runtime.TimerTag{Kind: tagFetchTick})
 	ctx.SetTimer(carRetransmit, runtime.TimerTag{Kind: tagCarRetx})
 	n.engine.Init()
 }
@@ -626,7 +587,7 @@ func (n *Node) OnTimer(ctx runtime.Context, tag runtime.TimerTag) {
 		n.retryMissingDecision(ctx)
 		n.stateSyncIfUnservable(ctx, exhausted)
 		n.tickStateSync(ctx)
-		ctx.SetTimer(n.cfg.FetchTick, runtime.TimerTag{Kind: tagFetchTick})
+		ctx.SetTimer(fetchTick, runtime.TimerTag{Kind: tagFetchTick})
 	case tagCarRetx:
 		// The outstanding-car state is shard-owned (see
 		// shardState.retransmit), so the tick is forwarded there.

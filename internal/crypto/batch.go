@@ -207,28 +207,6 @@ func (c *VerifyCache) certInsert(k [32]byte) {
 	c.mu.Unlock()
 }
 
-// SequentialVerifier marks the legacy certificate-verification path: the
-// quorum helpers and BatchVerifier check every share with one inline
-// Verify call each — no batching, no parallel striping, and no memo of
-// either shares or whole-cert verdicts. It exists as the measured
-// baseline for the committee-scaling benchmark (`bench -exp committee`),
-// so the batch/memo speedup is quantified against the naive path rather
-// than asserted.
-type SequentialVerifier struct {
-	inner Verifier
-}
-
-// Sequential wraps v so certificate verification takes the sequential
-// baseline path: the quorum helpers see the wrapper type and fall back
-// to one inline Verify per share. Wrap the suite's raw verifier (not a
-// VerifyCache) to measure the fully un-memoized baseline.
-func Sequential(v Verifier) *SequentialVerifier { return &SequentialVerifier{inner: v} }
-
-// Verify implements Verifier by delegating to the wrapped verifier.
-func (s *SequentialVerifier) Verify(signer types.NodeID, msg, sig []byte) bool {
-	return s.inner.Verify(signer, msg, sig)
-}
-
 // batchItem is one queued signature check.
 type batchItem struct {
 	signer types.NodeID
@@ -316,22 +294,10 @@ func (b *BatchVerifier) Verify() error {
 // striping, pass/fail only). Only when that batch REJECTS does the
 // per-share bisection run, to name the forged share in the error — the
 // attribution cost is paid exclusively by invalid certificates.
-//
-// A *SequentialVerifier forces the legacy path instead: one inline check
-// per share, no memo, no batching (the committee-scaling baseline).
 func (b *BatchVerifier) VerifyCert(domain string) error {
 	items := b.items
 	b.items = nil
 	if len(items) == 0 {
-		return nil
-	}
-	if sv, ok := b.v.(*SequentialVerifier); ok {
-		for i := range items {
-			it := &items[i]
-			if !sv.inner.Verify(it.signer, it.msg, it.sig) {
-				return fmt.Errorf("crypto: invalid signature from %s in batch of %d", it.signer, len(items))
-			}
-		}
 		return nil
 	}
 	cache, _ := b.v.(*VerifyCache)
@@ -415,9 +381,6 @@ func verifyRange(v Verifier, items []batchItem) int {
 	workers := gort.GOMAXPROCS(0)
 	if workers > len(items) {
 		workers = len(items)
-	}
-	if _, seq := v.(*SequentialVerifier); seq {
-		workers = 1 // baseline path: no parallel striping either
 	}
 	if len(items) < parallelThreshold || workers < 2 {
 		for i := range items {

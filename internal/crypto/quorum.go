@@ -14,8 +14,7 @@ import (
 // VerifyCert adds two amortizations on top: with a VerifyCache verifier
 // the whole-cert verdict is memoized (a re-arriving PoA or QC costs one
 // hash + lookup), and on batch failure a per-share bisection names the
-// forged share in the error. A SequentialVerifier forces the legacy
-// check-each-share-inline path (the benchmark baseline).
+// forged share in the error.
 
 // DistinctSigners verifies that shares come from pairwise-distinct,
 // committee-valid signers. Returns the signer set on success.

@@ -137,8 +137,7 @@ func TestDuplicateSignerRejected(t *testing.T) {
 
 // TestCertMemo pins the whole-certificate verdict cache: a valid cert's
 // second verification is a memo hit, a forged cert is never cached (every
-// re-arrival re-pays and re-fails), and the Sequential baseline wrapper
-// bypasses the memo entirely.
+// re-arrival re-pays and re-fails).
 func TestCertMemo(t *testing.T) {
 	committee := types.NewCommittee(4)
 	suite := NewEd25519Suite(4, 3)
@@ -177,17 +176,6 @@ func TestCertMemo(t *testing.T) {
 	tampered.Shares[1].Sig[0] ^= 0xff
 	if err := VerifyPoA(cache, committee, tampered); err == nil {
 		t.Fatal("tampered variant of a memoized PoA accepted")
-	}
-
-	// Sequential wrapper: no memo, no batch — stats must not move.
-	seq := Sequential(suite.Verifier())
-	if err := VerifyPoA(seq, committee, poa); err != nil {
-		t.Fatalf("valid PoA rejected by sequential baseline: %v", err)
-	}
-	bad := makePoA(t, suite, committee, []types.NodeID{0, 2})
-	bad.Shares[1].Sig = suite.Signer(1).Sign([]byte("wrong message"))
-	if err := VerifyPoA(seq, committee, bad); err == nil {
-		t.Fatal("forged PoA accepted by sequential baseline")
 	}
 }
 

@@ -58,6 +58,9 @@ type key struct {
 	dig  types.Digest
 }
 
+// maxReplyProposals bounds accepted reply sizes (flooding guard).
+const maxReplyProposals = 1 << 16
+
 // Config parameterizes the manager.
 type Config struct {
 	Self types.NodeID
@@ -67,8 +70,6 @@ type Config struct {
 	// beyond one intra-US RTT plus processing). Replies that queue behind
 	// a busy ingest path stretch it: see Manager.patience.
 	RetryAfter time.Duration
-	// MaxReplyProposals bounds accepted reply sizes (flooding guard).
-	MaxReplyProposals int
 	// MaxOutstandingPositions bounds the total range the catch-up streams
 	// may have outstanding (default 512 positions). Point requests bypass
 	// the budget so consensus voting never starves.
@@ -78,9 +79,6 @@ type Config struct {
 func (c *Config) fill() {
 	if c.RetryAfter == 0 {
 		c.RetryAfter = 300 * time.Millisecond
-	}
-	if c.MaxReplyProposals == 0 {
-		c.MaxReplyProposals = 1 << 16
 	}
 	if c.MaxOutstandingPositions == 0 {
 		c.MaxOutstandingPositions = 512
@@ -374,7 +372,7 @@ func (m *Manager) OnReply(now time.Duration, from types.NodeID, rep *types.SyncR
 	if len(rep.Proposals) == 0 {
 		return nil, fmt.Errorf("fetch: empty reply from %s", from)
 	}
-	if len(rep.Proposals) > m.cfg.MaxReplyProposals {
+	if len(rep.Proposals) > maxReplyProposals {
 		return nil, fmt.Errorf("fetch: oversized reply from %s", from)
 	}
 	if err := ValidateChain(rep); err != nil {

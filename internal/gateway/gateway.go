@@ -66,15 +66,21 @@ const (
 // three quarters, high rides to the full backlog bound.
 var shedAt = [3]float64{PriorityBulk: 0.5, PriorityNormal: 0.75, PriorityHigh: 1.0}
 
+const (
+	// dedupWindow is the per-client sliding dedup set size: how many
+	// completed seqs are remembered for replay absorption.
+	dedupWindow = 4096
+	// maxClients bounds distinct client IDs.
+	maxClients = 1 << 17
+	// handshakeTimeout bounds how long an accepted connection may sit
+	// without completing its Hello.
+	handshakeTimeout = 10 * time.Second
+)
+
 // Options configures a gateway server. The zero value gets defaults.
 type Options struct {
 	// Window is the per-client in-flight submission budget (default 64).
 	Window int
-	// DedupWindow is the per-client sliding dedup set size: how many
-	// completed seqs are remembered for replay absorption (default 4096).
-	DedupWindow int
-	// MaxClients bounds distinct client IDs (default 1 << 17).
-	MaxClients int
 	// MaxFrame caps one wire frame; larger frames drop the connection
 	// (hostile-input bound; default 1 MB + framing overhead).
 	MaxFrame int
@@ -95,9 +101,6 @@ type Options struct {
 	// loses acks beyond it (recovered by its own resubmission) instead
 	// of stalling the dispatcher (default 1024).
 	AckQueue int
-	// HandshakeTimeout bounds how long an accepted connection may sit
-	// without completing its Hello (default 10s).
-	HandshakeTimeout time.Duration
 	// Logger, when set, receives connection-level diagnostics.
 	Logger *log.Logger
 }
@@ -105,12 +108,6 @@ type Options struct {
 func (o *Options) fill() {
 	if o.Window == 0 {
 		o.Window = 64
-	}
-	if o.DedupWindow == 0 {
-		o.DedupWindow = 4096
-	}
-	if o.MaxClients == 0 {
-		o.MaxClients = 1 << 17
 	}
 	if o.MaxFrame == 0 {
 		o.MaxFrame = 1<<20 + 128
@@ -126,9 +123,6 @@ func (o *Options) fill() {
 	}
 	if o.AckQueue == 0 {
 		o.AckQueue = 1024
-	}
-	if o.HandshakeTimeout == 0 {
-		o.HandshakeTimeout = 10 * time.Second
 	}
 }
 
@@ -416,7 +410,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 	}()
 
 	// Handshake, bounded: a connection that won't say Hello is hostile.
-	conn.SetReadDeadline(time.Now().Add(s.opts.HandshakeTimeout))
+	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
 	typ, body, err := readFrame(conn, s.opts.MaxFrame, nil)
 	if err != nil || typ != frameHello {
 		s.ctrs.HostileDrops.Add(1)
@@ -454,7 +448,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 		}
 		cs.mu.Unlock()
 	}()
-	cw.send(appendHelloOK(nil, uint32(s.opts.Window), uint32(s.opts.DedupWindow)))
+	cw.send(appendHelloOK(nil, uint32(s.opts.Window), dedupWindow))
 
 	scratch := make([]byte, 4096)
 	for {
@@ -494,10 +488,10 @@ func (s *Server) client(id uint64, create bool) *clientState {
 	if cs = s.clients[id]; cs != nil {
 		return cs
 	}
-	if len(s.clients) >= s.opts.MaxClients {
+	if len(s.clients) >= maxClients {
 		return nil
 	}
-	cs = &clientState{id: id, win: newWindow(s.opts.Window, s.opts.DedupWindow)}
+	cs = &clientState{id: id, win: newWindow(s.opts.Window, dedupWindow)}
 	s.clients[id] = cs
 	return cs
 }

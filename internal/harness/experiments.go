@@ -45,11 +45,11 @@ type Fig5Config struct {
 	Loads    []float64 // offered loads; zero = paper-like default sweep
 	Duration time.Duration
 	Seed     uint64
-	// LatCutoff stops a system's sweep once mean latency exceeds it
-	// (default 4s, past the paper's plotted range).
-	LatCutoff time.Duration
-	Systems   []System
 }
+
+// fig5LatCutoff stops a system's sweep once mean latency exceeds it,
+// past the paper's plotted range.
+const fig5LatCutoff = 4 * time.Second
 
 func (c *Fig5Config) fill() {
 	if c.N == 0 {
@@ -64,12 +64,6 @@ func (c *Fig5Config) fill() {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.LatCutoff == 0 {
-		c.LatCutoff = 4 * time.Second
-	}
-	if len(c.Systems) == 0 {
-		c.Systems = AllSystems
-	}
 }
 
 // Fig5 sweeps offered load and measures steady-state latency/throughput
@@ -77,11 +71,11 @@ func (c *Fig5Config) fill() {
 func Fig5(cfg Fig5Config) map[System][]LoadPoint {
 	cfg.fill()
 	out := make(map[System][]LoadPoint)
-	for _, sys := range cfg.Systems {
+	for _, sys := range AllSystems {
 		for _, load := range cfg.Loads {
 			p := MeasurePoint(sys, cfg.N, load, cfg.Duration, cfg.Seed)
 			out[sys] = append(out[sys], p)
-			if p.MeanLat > cfg.LatCutoff {
+			if p.MeanLat > fig5LatCutoff {
 				break // saturated: later points only get worse
 			}
 		}
@@ -129,15 +123,15 @@ type PeakPoint struct {
 	LatAtPeak time.Duration
 }
 
+// fig6LatBound is the latency cap defining "peak" (the paper bounds
+// latency at 2s).
+const fig6LatBound = 2 * time.Second
+
 // Fig6Config parameterizes the scaling experiment.
 type Fig6Config struct {
 	Ns       []int
 	Duration time.Duration
 	Seed     uint64
-	// LatBound is the latency cap defining "peak" (the paper bounds
-	// latency at 2s).
-	LatBound time.Duration
-	Systems  []System
 	// Loads is the candidate load ladder searched for the peak.
 	Loads []float64
 }
@@ -151,12 +145,6 @@ func (c *Fig6Config) fill() {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.LatBound == 0 {
-		c.LatBound = 2 * time.Second
-	}
-	if len(c.Systems) == 0 {
-		c.Systems = AllSystems
 	}
 	if len(c.Loads) == 0 {
 		c.Loads = []float64{1.5e3, 5e3, 10e3, 15e3, 20e3, 30e3, 50e3, 75e3, 100e3,
@@ -172,7 +160,7 @@ func Fig6(cfg Fig6Config) map[int]map[System]PeakPoint {
 	out := make(map[int]map[System]PeakPoint)
 	for _, n := range cfg.Ns {
 		out[n] = make(map[System]PeakPoint)
-		for _, sys := range cfg.Systems {
+		for _, sys := range AllSystems {
 			out[n][sys] = peakSearch(sys, n, cfg)
 		}
 	}
@@ -183,7 +171,7 @@ func peakSearch(sys System, n int, cfg Fig6Config) PeakPoint {
 	var best PeakPoint
 	for _, load := range cfg.Loads {
 		p := MeasurePoint(sys, n, load, cfg.Duration, cfg.Seed)
-		if p.MeanLat <= cfg.LatBound && p.Throughput >= 0.9*load {
+		if p.MeanLat <= fig6LatBound && p.Throughput >= 0.9*load {
 			if p.Throughput > best.Peak {
 				best = PeakPoint{Peak: p.Throughput, LatAtPeak: p.MeanLat}
 			}
@@ -280,7 +268,7 @@ type BlipResult struct {
 	// Plateau is how long past BlipEnd per-second mean latency stayed
 	// above 1.25x baseline. A recovering replica that is still ingesting
 	// what it missed cannot vote on fresh tips in time, so every slot it
-	// does not lead loses the fast path (+1 WAN round + FastPathWait):
+	// does not lead loses the fast path (+1 WAN round + fastPathWait):
 	// well under 2x, invisible to Hangover, and over only when the
 	// replica has caught up. With single-copy catch-up (DESIGN.md §1.14)
 	// that takes missed bytes / ingest headroom; before it, the plateau
@@ -292,6 +280,9 @@ type BlipResult struct {
 	Total   uint64
 }
 
+// blipCrashNode is the replica a blip experiment crashes.
+const blipCrashNode types.NodeID = 1
+
 // BlipConfig parameterizes a leader-failure blip run.
 type BlipConfig struct {
 	System System
@@ -302,11 +293,10 @@ type BlipConfig struct {
 	// StableLeaders selects the paper's single-timeout scenarios; the
 	// default rotating regime produces the "Dbl" double timeout.
 	StableLeaders bool
-	// CrashFrom/CrashFor crash the target replica (default: 10s, long
+	// CrashFrom/CrashFor crash blipCrashNode (default: 10s, long
 	// enough to cover the relevant leadership moments).
 	CrashFrom time.Duration
 	CrashFor  time.Duration
-	CrashNode types.NodeID
 	Duration  time.Duration
 	Seed      uint64
 }
@@ -324,9 +314,6 @@ func (c *BlipConfig) fill() {
 	if c.CrashFor == 0 {
 		c.CrashFor = 1500 * time.Millisecond
 	}
-	if c.CrashNode == 0 {
-		c.CrashNode = 1
-	}
 	if c.Duration == 0 {
 		c.Duration = 30 * time.Second
 	}
@@ -338,7 +325,7 @@ func (c *BlipConfig) fill() {
 // RunBlip crashes one replica mid-run and analyzes the hangover.
 func RunBlip(cfg BlipConfig) BlipResult {
 	cfg.fill()
-	faults := (&sim.FaultSchedule{}).AddDown(cfg.CrashNode, cfg.CrashFrom, cfg.CrashFrom+cfg.CrashFor)
+	faults := (&sim.FaultSchedule{}).AddDown(blipCrashNode, cfg.CrashFrom, cfg.CrashFrom+cfg.CrashFor)
 	return runBlipWith(cfg, faults)
 }
 
@@ -352,8 +339,8 @@ func RunRestartBlip(cfg BlipConfig, amnesia bool) BlipResult {
 	cfg.System = Autobahn
 	cfg.fill()
 	faults := (&sim.FaultSchedule{}).
-		AddDown(cfg.CrashNode, cfg.CrashFrom, cfg.CrashFrom+cfg.CrashFor).
-		Restart(cfg.CrashNode, cfg.CrashFrom+cfg.CrashFor, amnesia)
+		AddDown(blipCrashNode, cfg.CrashFrom, cfg.CrashFrom+cfg.CrashFor).
+		Restart(blipCrashNode, cfg.CrashFrom+cfg.CrashFor, amnesia)
 	return runBlipWith(cfg, faults)
 }
 

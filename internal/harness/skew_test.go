@@ -41,7 +41,7 @@ func skewedRun(seed uint64) (fingerprint string, starts consensus.StartCounts, m
 
 // TestSimSkewedLoadCadence: with load on two of four lanes the coverage
 // threshold follows the two active lanes, so slots start when both show a
-// new car instead of waiting out the CoverageDelay backstop for a third
+// new car instead of waiting out the coverageDelay backstop for a third
 // lane that has nothing to send. The simulator is deterministic, so the
 // run repeats byte for byte and the comparison against the previous start
 // rule is a pinned number, not a second code path.
@@ -67,6 +67,6 @@ func TestSimSkewedLoadCadence(t *testing.T) {
 		t.Fatalf("no start used a lowered threshold: %+v", starts)
 	}
 	if mean > fixedThresholdMean-coverageDelay/4 {
-		t.Fatalf("mean commit latency %v, want at least CoverageDelay/4 below the fixed threshold's %v", mean, fixedThresholdMean)
+		t.Fatalf("mean commit latency %v, want at least coverageDelay/4 below the fixed threshold's %v", mean, fixedThresholdMean)
 	}
 }

@@ -44,6 +44,18 @@ const (
 	Stable
 )
 
+const (
+	// maxInlineTx bounds a VanillaHS proposal's payload in transactions:
+	// two full batches; partially filled delay-sealed batches merge up to
+	// the cap, so sparse leader turns at large n are not starved by a
+	// batch-count limit.
+	maxInlineTx = 2000
+	// maxRefs bounds a BatchedHS proposal's references — the paper notes
+	// BatchedHS "must enforce a cap on mini-batch references per proposal
+	// to avoid excessive synchronization".
+	maxRefs = 32
+)
+
 // Config parameterizes a HotStuff replica.
 type Config struct {
 	Committee  types.Committee
@@ -54,15 +66,6 @@ type Config struct {
 	LeaderMode LeaderMode
 	// ViewTimeout is the base progress timer (default 1s, doubling).
 	ViewTimeout time.Duration
-	// MaxInlineTx bounds a VanillaHS proposal's payload in transactions
-	// (default 2000 — two full batches; partially filled delay-sealed
-	// batches merge up to the cap, so sparse leader turns at large n are
-	// not starved by a batch-count limit).
-	MaxInlineTx int
-	// MaxRefs bounds a BatchedHS proposal's references (default 32 — the
-	// paper notes BatchedHS "must enforce a cap on mini-batch references
-	// per proposal to avoid excessive synchronization").
-	MaxRefs int
 	// Sink receives execution-ready batches.
 	Sink runtime.CommitSink
 }
@@ -76,12 +79,6 @@ func (c *Config) fill() {
 	}
 	if c.ViewTimeout == 0 {
 		c.ViewTimeout = time.Second
-	}
-	if c.MaxInlineTx == 0 {
-		c.MaxInlineTx = 2000
-	}
-	if c.MaxRefs == 0 {
-		c.MaxRefs = 32
 	}
 	if c.Sink == nil {
 		c.Sink = runtime.NopSink
@@ -397,7 +394,7 @@ func (n *Node) propose(ctx runtime.Context) {
 		var order []types.NodeID
 		taken := 0
 		for _, b := range n.pendingOwn {
-			if txs >= n.cfg.MaxInlineTx {
+			if txs >= maxInlineTx {
 				break
 			}
 			if _, ok := groups[b.Origin]; !ok {
@@ -417,7 +414,7 @@ func (n *Node) propose(ctx runtime.Context) {
 			}
 		}
 	case Batched:
-		take := min(len(n.unproposed), n.cfg.MaxRefs)
+		take := min(len(n.unproposed), maxRefs)
 		blk.Refs = n.unproposed[:take:take]
 		n.unproposed = n.unproposed[take:]
 		for _, r := range blk.Refs {

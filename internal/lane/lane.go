@@ -51,30 +51,27 @@ type Config struct {
 	// proposals and votes. Disable only in simulations where signature
 	// cost is modeled by the network layer instead.
 	VerifyProposals bool
-	// MaxBuffered bounds out-of-order proposals buffered per lane
-	// (Byzantine flooding protection; §A.4 bounded wastage).
-	MaxBuffered int
 	// PipelineCars, when > 1, allows that many un-certified own proposals
 	// in flight (§5.5.1). The paper's prototype (and our default) uses 1:
 	// a new car starts only once the previous car's PoA completed.
 	PipelineCars int
-	// MaxCarBytes caps one car's merged payload (default 4 MB). Without a
-	// cap, a lane stalled behind congested voters merges its backlog into
-	// ever-larger cars whose processing cost congests voters further — a
-	// feedback loop that can melt the whole cluster under a blip at high
-	// load. The remainder stays pending and rides the following cars.
-	MaxCarBytes uint64
 }
 
+const (
+	// maxBuffered bounds out-of-order proposals buffered per lane
+	// (Byzantine flooding protection; §A.4 bounded wastage).
+	maxBuffered = 1024
+	// maxCarBytes caps one car's merged payload. Without a cap, a lane
+	// stalled behind congested voters merges its backlog into ever-larger
+	// cars whose processing cost congests voters further — a feedback
+	// loop that can melt the whole cluster under a blip at high load. The
+	// remainder stays pending and rides the following cars.
+	maxCarBytes = 4 << 20
+)
+
 func (c *Config) fill() {
-	if c.MaxBuffered == 0 {
-		c.MaxBuffered = 1024
-	}
 	if c.PipelineCars == 0 {
 		c.PipelineCars = 1
-	}
-	if c.MaxCarBytes == 0 {
-		c.MaxCarBytes = 4 << 20
 	}
 	if c.Journal == nil {
 		c.Journal = nopJournal{}
@@ -195,7 +192,7 @@ func (s *State) tryPropose() *types.Proposal {
 	var sz uint64
 	for i, b := range s.pending {
 		sz += b.Bytes
-		if sz > s.cfg.MaxCarBytes && i > 0 {
+		if sz > maxCarBytes && i > 0 {
 			take = i
 			break
 		}
@@ -358,7 +355,7 @@ func (s *State) OnProposal(p *types.Proposal) ([]*types.Vote, error) {
 	}
 	if p.Position > pv.votedPos+1 {
 		// Out of order: buffer (bounded) and wait for the gap to fill.
-		if len(pv.buffered) < s.cfg.MaxBuffered {
+		if len(pv.buffered) < maxBuffered {
 			if _, exists := pv.buffered[p.Position]; !exists {
 				pv.buffered[p.Position] = p
 			}

@@ -15,6 +15,9 @@ import (
 	"repro/internal/types"
 )
 
+// tick is the chunk granularity of an open-loop load.
+const tick = 5 * time.Millisecond
+
 // Config describes an open-loop load.
 type Config struct {
 	// TotalRate is the aggregate submission rate across all replicas
@@ -24,8 +27,6 @@ type Config struct {
 	TxSize int
 	// Start/End bound the submission window.
 	Start, End time.Duration
-	// Tick is the chunk granularity (default 5ms).
-	Tick time.Duration
 	// Batch overrides mempool batching parameters (zero = defaults:
 	// 1000 txs / 500 KB / 100ms).
 	Batch mempool.Config
@@ -38,9 +39,6 @@ type Config struct {
 func (c *Config) fill() {
 	if c.TxSize == 0 {
 		c.TxSize = 512
-	}
-	if c.Tick == 0 {
-		c.Tick = 5 * time.Millisecond
 	}
 }
 
@@ -56,10 +54,10 @@ func Install(e *sim.Engine, nodes []types.NodeID, cfg Config) []*mempool.Pool {
 		pools[i] = mempool.NewPool(bc)
 	}
 	perNode := cfg.TotalRate / float64(len(nodes))
-	txPerTick := perNode * cfg.Tick.Seconds()
+	txPerTick := perNode * tick.Seconds()
 
 	// Ticks continue past End so partially filled batches still flush.
-	e.Every(cfg.Start, cfg.Tick, cfg.End+2*time.Second, func(t time.Duration) {
+	e.Every(cfg.Start, tick, cfg.End+2*time.Second, func(t time.Duration) {
 		for i, id := range nodes {
 			var count uint64
 			if t < cfg.End {
@@ -85,7 +83,7 @@ func Install(e *sim.Engine, nodes []types.NodeID, cfg Config) []*mempool.Pool {
 				}
 			}
 			pool := pools[pi]
-			mean := t + cfg.Tick/2
+			mean := t + tick/2
 			if count > 0 {
 				batches := pool.AddSynthetic(count, count*uint64(cfg.TxSize), mean, t)
 				for _, b := range batches {

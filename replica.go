@@ -7,10 +7,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/adversary"
 	"repro/internal/core"
+	"repro/internal/crypto"
 	"repro/internal/gateway"
-	"repro/internal/mempool"
 	"repro/internal/metrics"
 	"repro/internal/runtime"
 	"repro/internal/storage"
@@ -23,13 +22,10 @@ import (
 // building block of real multi-process deployments; see cmd/autobahn-node.
 type Replica struct {
 	opts    Options
-	self    types.NodeID
 	mesh    *transport.TCPMesh
-	node    *core.Node
+	m       *member
 	journal core.Journal // nil without Options.WALPath
 
-	poolMu   sync.Mutex
-	pool     *mempool.Pool
 	epoch    time.Time
 	done     chan struct{} // closed by Stop; terminates flushLoop
 	started  bool          // Start launched the event loop (Stop may Join it)
@@ -69,22 +65,17 @@ func (r *Replica) SetCommitObserver(fn func(Committed)) { r.observer = fn }
 // pre-crash vote and resumes execution from its committed frontier,
 // fetching whatever else it misses through the normal non-blocking sync.
 func NewReplica(self types.NodeID, addrs map[types.NodeID]string, o Options, logger *log.Logger) (*Replica, error) {
+	if err := o.validate(overTCP); err != nil {
+		return nil, err
+	}
 	if len(addrs) != o.N {
 		return nil, fmt.Errorf("autobahn: %d addresses for committee of %d", len(addrs), o.N)
 	}
-	if err := o.validateAdversaries(); err != nil {
-		return nil, err
-	}
-	o.VerifySignatures = true
 	r := &Replica{
 		opts:  o,
-		self:  self,
 		epoch: time.Now(), // deployments tolerate skewed epochs: only latency *reports* depend on it
 		done:  make(chan struct{}),
 		fatal: make(chan error, 1),
-	}
-	if o.WALFaults != nil && o.WALPath == "" {
-		return nil, fmt.Errorf("autobahn: WALFaults requires WALPath")
 	}
 	if o.WALPath != "" {
 		st, err := storage.OpenWithFaults(o.WALPath, o.WALFaults)
@@ -96,44 +87,16 @@ func NewReplica(self types.NodeID, addrs map[types.NodeID]string, o Options, log
 	}
 	sink := runtime.CommitSinkFunc(func(node types.NodeID, now time.Duration, cm runtime.Committed) {
 		if obs := r.observer; obs != nil {
-			obs(Committed{
-				Replica: node, Lane: cm.Lane, Position: cm.Position,
-				Slot: cm.Slot, Batch: cm.Batch, AppHash: cm.AppHash, At: now,
-			})
+			obs(committed(node, now, cm))
 		}
 		if gw := r.gateway; gw != nil {
 			gw.OnCommit(cm.Batch) // spill-queue append: never blocks the loop
 		}
 	})
-	suite := o.suite()
-	cfg := o.nodeConfig(self, suite, sink)
-	cfg.Journal = r.journal
-	if o.SnapshotEvery > 0 {
-		if o.WALPath != "" {
-			// Snapshots persist beside the WAL, atomically replaced; a
-			// restarted process recovers from the newer of snapshot and
-			// journal frontier.
-			cfg.Snapshots = storage.FileSnapshots{Path: o.WALPath + ".snap"}
-		} else {
-			cfg.Snapshots = &core.MemSnapshots{}
-		}
-	}
-	// Parallel data plane (auto-sized to the hardware): lane traffic runs
-	// on per-shard workers, consensus stays serialized.
-	cfg.Shards = o.dataShards()
-	behavior := o.Adversaries[self]
-	if behavior != "" {
-		cfg.Shards = 1 // adversary wrappers are single-threaded
-	}
-	// With a WAL, journal writes group-commit: records accumulate across
-	// each event-loop burst and one Sync covers them all, with the gated
-	// sends released only after it returns (the transport loop drives
-	// the Flush hook). Without a WAL there is nothing to amortize.
-	cfg.GroupCommit = r.journal != nil
 	// A journal barrier failure is replica-fatal: un-journaled state must
 	// never externalize, so the replica halts loudly — it stops itself
 	// and reports on Fatal — rather than run on without durability.
-	cfg.OnFatal = func(err error) {
+	onFatal := func(err error) {
 		r.journalFatal.Store(true)
 		select {
 		case r.fatal <- err:
@@ -141,34 +104,24 @@ func NewReplica(self types.NodeID, addrs map[types.NodeID]string, o Options, log
 		}
 		r.Stop()
 	}
-	r.node = core.NewNode(cfg)
-	// A Byzantine replica joins the mesh behind its adversary wrapper,
-	// which intercepts every outbound message (fault-matrix testing over
-	// real sockets).
-	var proto runtime.Protocol = r.node
-	if behavior != "" {
-		w, err := adversary.WrapNode(r.node, o.committee(), self, suite.Signer(self), behavior, 0, 0)
-		if err != nil {
-			return nil, err
+	m, err := o.newMember(self, crypto.NewEd25519Suite(o.N, o.seedOr(1)), sink, r.journal, onFatal)
+	if err != nil {
+		if r.journal != nil {
+			r.journal.Close() // the construction error is the one to report
 		}
-		proto = w
+		return nil, err
 	}
-	r.mesh = transport.NewTCPMesh(self, addrs, proto, r.epoch, logger)
+	r.m = m
+	// The node implements runtime.PreVerifier, so the mesh's loop runs
+	// inbound signature checks on a parallel worker stage.
+	r.mesh = transport.NewTCPMesh(self, addrs, m.proto, r.epoch, logger)
+	m.loop = r.mesh.Loop()
 	if o.StallTimeout > 0 {
 		r.mesh.SetStallTimeout(o.StallTimeout)
 	}
 	if o.LinkFaults != nil {
 		r.mesh.SetLinkFaults(o.LinkFaults)
 	}
-	// The node implements runtime.PreVerifier, so the mesh's loop runs
-	// inbound signature checks on a parallel worker stage.
-	r.mesh.Loop().SetVerifyWorkers(o.VerifyWorkers)
-	r.pool = mempool.NewPool(mempool.Config{
-		Self:          self,
-		MaxBatchTxs:   o.MaxBatchTxs,
-		MaxBatchBytes: o.MaxBatchBytes,
-		MaxBatchDelay: o.MaxBatchDelay,
-	})
 	if o.GatewayAddr != "" {
 		gwOpts := o.Gateway
 		if gwOpts.Logger == nil {
@@ -192,7 +145,7 @@ func (r *Replica) Start() error {
 		}
 	}
 	r.started = true
-	go r.flushLoop()
+	go flushLoop(r.opts.MaxBatchDelay, r.epoch, r.done, []*member{r.m})
 	return nil
 }
 
@@ -219,53 +172,19 @@ func (r *Replica) Stop() {
 }
 
 // Submit adds one client transaction to this replica's mempool.
-func (r *Replica) Submit(tx []byte) {
-	now := time.Since(r.epoch)
-	r.poolMu.Lock()
-	batches := r.pool.AddTx(types.Transaction(tx), now)
-	r.poolMu.Unlock()
-	for _, b := range batches {
-		r.mesh.Loop().Submit(b)
-	}
-}
-
-func (r *Replica) flushLoop() {
-	delay := r.opts.MaxBatchDelay
-	if delay == 0 {
-		delay = 100 * time.Millisecond
-	}
-	tick := time.NewTicker(delay / 2)
-	defer tick.Stop()
-	for {
-		select {
-		case <-r.done:
-			return
-		case <-tick.C:
-		}
-		now := time.Since(r.epoch)
-		r.poolMu.Lock()
-		var b *types.Batch
-		if r.pool.FlushDue(now) {
-			b = r.pool.Flush(now)
-		}
-		r.poolMu.Unlock()
-		if b != nil {
-			r.mesh.Loop().Submit(b)
-		}
-	}
-}
+func (r *Replica) Submit(tx []byte) { r.m.submit(time.Since(r.epoch), tx) }
 
 // Node exposes the protocol state (stats, orderer) for monitoring.
-func (r *Replica) Node() *core.Node { return r.node }
+func (r *Replica) Node() *core.Node { return r.m.node }
 
 // MempoolDepth reports the live mempool backlog (gateway.Backend); an
 // atomic gauge, safe without the pool lock.
-func (r *Replica) MempoolDepth() int { return r.pool.Depth() }
+func (r *Replica) MempoolDepth() int { return r.m.pool.Depth() }
 
 // LaneDepth reports this replica's own-lane end-to-end backlog —
 // batches awaiting a car plus proposed-but-uncommitted cars
 // (gateway.Backend).
-func (r *Replica) LaneDepth() int { return r.node.LaneDepth() }
+func (r *Replica) LaneDepth() int { return r.m.node.LaneDepth() }
 
 // Gateway returns the client gateway tier, nil unless Options.GatewayAddr
 // was set.

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/core"
+	"repro/internal/crypto"
 	"repro/internal/mempool"
 	"repro/internal/metrics"
 	"repro/internal/runtime"
@@ -43,6 +44,9 @@ type SimOptions struct {
 
 // NewSimCluster builds an n-replica simulated deployment.
 func NewSimCluster(o SimOptions) *SimCluster {
+	if err := o.validate(simulated); err != nil {
+		panic(err)
+	}
 	if o.Horizon == 0 {
 		o.Horizon = 5 * time.Minute
 	}
@@ -52,7 +56,7 @@ func NewSimCluster(o SimOptions) *SimCluster {
 	}
 	rec := metrics.NewRecorder(o.Horizon)
 	rec.Quorum = o.committee().F() + 1
-	suite := o.suite()
+	suite := crypto.NewNopSuite(o.N)
 	eng := sim.NewEngine(sim.Config{
 		Net:    sim.NewNetwork(sim.DefaultNetConfig(topo)),
 		Faults: o.Faults,
@@ -167,7 +171,6 @@ func (c *SimCluster) SubmitLoad(rate float64, txSize int, start, end time.Durati
 		End:       end,
 		Batch: mempool.Config{
 			MaxBatchTxs:   c.opts.MaxBatchTxs,
-			MaxBatchBytes: c.opts.MaxBatchBytes,
 			MaxBatchDelay: c.opts.MaxBatchDelay,
 		},
 	})
