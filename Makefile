@@ -2,7 +2,7 @@
 
 GOMAXPROCS ?= 4
 
-.PHONY: build test race vet fmt tidy-check check loc
+.PHONY: build test race flakes vet fmt tidy-check check loc
 
 build:
 	go build ./...
@@ -12,6 +12,30 @@ test:
 
 race:
 	GOMAXPROCS=$(GOMAXPROCS) go test -race ./...
+
+# Flake hunt (FLAKES.md): CI's -race set, K times, uncached, as go test
+# -json. A failed run's full output stays under FLAKES_DIR/<start time>/;
+# a passing run's is deleted. Ends with failure counts per test (a
+# package-level failure — panic, timeout, build error — counts as "-").
+K ?= 20
+FLAKES_DIR ?= .flakes
+flakes:
+	@dir=$(FLAKES_DIR)/$$(date +%Y%m%d-%H%M%S); mkdir -p $$dir; failed=0; \
+	for i in $$(seq 1 $(K)); do \
+		out=$$dir/run-$$i.json; \
+		if GOMAXPROCS=$(GOMAXPROCS) go test -race -count=1 -json ./... > $$out 2>&1; then \
+			rm -f $$out; echo "run $$i/$(K): pass"; \
+		else \
+			failed=$$((failed + 1)); echo "run $$i/$(K): FAIL, output in $$out"; \
+		fi; \
+	done; \
+	echo "$$failed of $(K) runs failed"; \
+	for f in $$dir/run-*.json; do \
+		[ -e "$$f" ] || continue; \
+		grep '"Action":"fail"' "$$f" | \
+			sed -e 's/.*"Package":"\([^"]*\)","Test":"\([^"]*\)".*/\1 \2/' \
+			    -e 's/.*"Package":"\([^"]*\)"[,}].*/\1 -/' | sort -u; \
+	done | sort | uniq -c | sort -rn
 
 # The protocol-invariant analyzer suite (internal/analysis, DESIGN.md
 # §1.10): standalone first for fast feedback, then through go vet's

@@ -199,7 +199,7 @@ func BenchmarkLaneCarCycle(b *testing.B) {
 	for i := range states {
 		states[i] = lane.NewState(lane.Config{
 			Committee: committee, Self: types.NodeID(i),
-			Signer: suite.Signer(types.NodeID(i)), Verifier: suite.Verifier(),
+			Signer: suite.Signer(types.NodeID(i)),
 		})
 	}
 	b.ResetTimer()

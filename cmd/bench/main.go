@@ -1,19 +1,18 @@
 // Command bench regenerates the paper's tables and figures (§6) on the
-// discrete-event simulator, plus two real-runtime performance probes:
-// `ingress` (wire decode micro-benchmarks: the zero-copy ingress path
-// against the legacy copying decoder) and `scaling` (in-process
-// LiveCluster committed throughput across GOMAXPROCS, exercising the
-// sharded data plane). Each experiment prints the same rows/series the
-// paper reports, plus a PASS/FAIL check of the expected comparative
-// shape.  See EXPERIMENTS.md for recorded paper-vs-measured values.
+// discrete-event simulator, plus a real-runtime performance probe:
+// `scaling` (in-process LiveCluster committed throughput across
+// GOMAXPROCS, exercising the sharded data plane). Each experiment prints
+// the same rows/series the paper reports, plus a PASS/FAIL check of the
+// expected comparative shape. See EXPERIMENTS.md for recorded
+// paper-vs-measured values.
 //
 // Usage:
 //
-//	bench -exp table1|fig1|fig5|fig6|fig7|fig8|ablation|restart|byzantine|ingress|scaling|committee|faultmatrix|soak|all [-quick] [-json out.json]
+//	bench -exp table1|fig1|fig5|fig6|fig7|fig8|ablation|restart|byzantine|scaling|committee|faultmatrix|soak|all [-quick] [-json out.json]
 //
 // -exp accepts a comma-separated list; `all` expands to the simulator
-// figure experiments only (ingress/scaling/committee/faultmatrix measure
-// the real runtime on real time, and byzantine — though deterministic —
+// figure experiments only (scaling/committee/faultmatrix measure the
+// real runtime on real time, and byzantine — though deterministic —
 // is owned by the CI fault-matrix job; all must be named explicitly, e.g.
 // -exp all,faultmatrix). `byzantine` runs every shipped adversary
 // behavior on the simulator; `faultmatrix` runs the same behaviors plus
@@ -66,7 +65,7 @@ func record(metric string, value float64) {
 }
 
 func main() {
-	exp := flag.String("exp", "all", "comma-separated experiments: table1, fig1, fig5, fig6, fig7, fig8, ablation, restart, byzantine, ingress, scaling, committee, faultmatrix, soak, gateway, snapshot, all (= the simulator set)")
+	exp := flag.String("exp", "all", "comma-separated experiments: table1, fig1, fig5, fig6, fig7, fig8, ablation, restart, byzantine, scaling, committee, faultmatrix, soak, gateway, snapshot, all (= the simulator set)")
 	quick := flag.Bool("quick", false, "reduced sweeps for a fast smoke run")
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	jsonPath := flag.String("json", "", "write machine-readable per-experiment metrics to this file")
@@ -91,7 +90,7 @@ func main() {
 	// wall-clock-bound real-runtime probes run only when named, and so
 	// does `byzantine` (deterministic, but owned by the CI fault-matrix
 	// job — including it in `all` would run the whole suite twice per PR).
-	notInAll := map[string]bool{"ingress": true, "scaling": true, "faultmatrix": true, "byzantine": true, "committee": true, "soak": true, "gateway": true, "snapshot": true}
+	notInAll := map[string]bool{"scaling": true, "faultmatrix": true, "byzantine": true, "committee": true, "soak": true, "gateway": true, "snapshot": true}
 	run := func(name string, fn func()) {
 		if !want[name] && !(want["all"] && !notInAll[name]) {
 			return
@@ -252,7 +251,6 @@ func main() {
 	})
 
 	run("byzantine", func() { runByzantine(*quick, *seed) })
-	run("ingress", runIngress)
 	run("scaling", func() { runScaling(*quick) })
 	run("committee", func() { runCommittee(*quick, *seed) })
 	run("faultmatrix", func() { runFaultMatrix(*quick, *seed) })

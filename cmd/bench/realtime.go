@@ -1,7 +1,7 @@
-// Real-runtime performance probes, run on wall-clock time (unlike the
-// deterministic simulator experiments): `ingress` pins the wire decode
-// micro-costs, `scaling` measures LiveCluster committed throughput
-// across GOMAXPROCS — the figure the parallel data plane exists for.
+// Real-runtime performance probe, run on wall-clock time (unlike the
+// deterministic simulator experiments): `scaling` measures LiveCluster
+// committed throughput across GOMAXPROCS — the figure the parallel data
+// plane exists for.
 package main
 
 import (
@@ -9,71 +9,11 @@ import (
 	"fmt"
 	gort "runtime"
 	"sync/atomic"
-	"testing"
 	"time"
 
 	autobahn "repro"
 	"repro/internal/types"
-	"repro/internal/wire"
 )
-
-// runIngress measures the ingress decode path: the zero-copy decoder
-// (DecodeFrom over a pooled frame) against the legacy copying decoder,
-// on the two frames that dominate real traffic — votes (control plane)
-// and 500 KB cars (data plane, 1000 × 512 B transactions, the paper's
-// workload). Failing check: the zero-copy path must allocate at most
-// one object for a vote and may not allocate per transaction for a car.
-func runIngress() {
-	vote := &types.Vote{Lane: 1, Position: 9, Digest: types.Digest{5}, Voter: 2, Sig: make([]byte, 64)}
-	voteEnc, err := wire.Encode(vote)
-	if err != nil {
-		panic(err)
-	}
-	txs := make([]types.Transaction, 1000)
-	for i := range txs {
-		txs[i] = make(types.Transaction, 512)
-	}
-	car := &types.Proposal{
-		Lane: 1, Position: 7, Parent: types.Digest{3},
-		Batch: types.NewBatch(1, 7, txs, 0),
-		Sig:   make([]byte, 64),
-	}
-	carEnc, err := wire.Encode(car)
-	if err != nil {
-		panic(err)
-	}
-
-	bench := func(name string, enc []byte, decode func([]byte) (types.Message, error)) testing.BenchmarkResult {
-		res := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := decode(enc); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		fmt.Printf("%-28s %10.0f ns/op %8d B/op %6d allocs/op\n",
-			name, float64(res.NsPerOp()), res.AllocedBytesPerOp(), res.AllocsPerOp())
-		record(name+"_ns_op", float64(res.NsPerOp()))
-		record(name+"_allocs_op", float64(res.AllocsPerOp()))
-		return res
-	}
-
-	voteCopy := bench("decode_vote_copy", voteEnc, wire.Decode)
-	voteZero := bench("decode_vote_zerocopy", voteEnc, wire.DecodeFrom)
-	carCopy := bench("decode_car500k_copy", carEnc, wire.Decode)
-	carZero := bench("decode_car500k_zerocopy", carEnc, wire.DecodeFrom)
-
-	check(voteZero.AllocsPerOp() <= 1, "zero-copy vote decode allocates at most the message struct")
-	check(carZero.AllocsPerOp() < 16 && carZero.AllocsPerOp() < carCopy.AllocsPerOp()/10,
-		"zero-copy car decode does not allocate per transaction")
-	if voteCopy.NsPerOp() > 0 && carCopy.NsPerOp() > 0 {
-		fmt.Printf("speedup: vote %.2fx, 500KB car %.2fx\n",
-			float64(voteCopy.NsPerOp())/float64(voteZero.NsPerOp()),
-			float64(carCopy.NsPerOp())/float64(carZero.NsPerOp()))
-		record("car_decode_speedup", float64(carCopy.NsPerOp())/float64(carZero.NsPerOp()))
-	}
-}
 
 // runScaling measures committed throughput of a 4-replica in-process
 // LiveCluster (real signatures, sharded data plane auto-sized to

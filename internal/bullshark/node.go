@@ -129,7 +129,8 @@ func NewNode(cfg Config) *Node {
 	cfg.fill()
 	verifier := cfg.Suite.Verifier()
 	if cfg.VerifySigs {
-		// Memoized: inline checks of pre-verified messages are cache hits.
+		// Memoized: a certificate re-arrives in every CertPush that
+		// carries it.
 		verifier = crypto.NewVerifyCache(verifier, 0)
 	}
 	return &Node{
@@ -370,9 +371,6 @@ func (n *Node) onHeader(ctx runtime.Context, from types.NodeID, h *Header) {
 	if h.Author != from || !n.cfg.Committee.Valid(h.Author) {
 		return
 	}
-	if n.cfg.VerifySigs && !n.verifier.Verify(h.Author, h.SigningBytes(), h.Sig) {
-		return
-	}
 	d := h.Digest()
 	if _, dup := n.headers[d]; dup {
 		// Retransmitted header: if we already voted for it, our earlier
@@ -480,9 +478,6 @@ func (n *Node) onVote(ctx runtime.Context, from types.NodeID, v *HeaderVote) {
 	if from != v.Voter {
 		return
 	}
-	if n.cfg.VerifySigs && !n.verifier.Verify(v.Voter, v.SigningBytes(), v.Sig) {
-		return
-	}
 	n.collectVote(ctx, v)
 }
 
@@ -514,9 +509,6 @@ func (n *Node) onCert(ctx runtime.Context, c *Cert) {
 	if !n.cfg.Committee.Valid(c.Author) || c.Round == 0 {
 		return
 	}
-	if n.cfg.VerifySigs && !n.verifyCert(c) {
-		return
-	}
 	byAuthor := n.certs[c.Round]
 	if byAuthor == nil {
 		byAuthor = make(map[types.NodeID]*Cert)
@@ -536,10 +528,6 @@ func (n *Node) onCert(ctx runtime.Context, c *Cert) {
 		ctx.Send(c.Author, &CertPull{FromRound: n.round, ToRound: c.Round, Requester: n.cfg.Self})
 	}
 	n.tryAdvance(ctx, false)
-}
-
-func (n *Node) verifyCert(c *Cert) bool {
-	return verifyCert(n.cfg.Committee, n.verifier, c) == nil
 }
 
 // --- Bullshark commit rule ---

@@ -8,9 +8,10 @@ import (
 	"repro/internal/types"
 )
 
-// Staged-ingress mirror for the Bullshark baseline (see the hotstuff
-// twin): header, vote and certificate signatures are checkable without
-// DAG state, so they run on the transport's parallel verification stage.
+// The Bullshark baseline's signature checks — all of them: header, vote
+// and certificate signatures are checkable without DAG state, and the
+// simulator (the only runtime the baseline runs under) calls PreVerify on
+// every peer message before delivery, so the handlers check none.
 
 var _ runtime.PreVerifier = (*Node)(nil)
 
@@ -53,8 +54,7 @@ func verifyHeaderSig(v crypto.Verifier, h *Header) error {
 	return nil
 }
 
-// verifyCert is the stateless certificate check shared by the inline
-// path and the pre-verification pipeline (batch-verified shares).
+// verifyCert is the stateless certificate check (batch-verified shares).
 func verifyCert(committee types.Committee, v crypto.Verifier, c *Cert) error {
 	if len(c.Shares) < committee.Quorum() {
 		return fmt.Errorf("bullshark: cert has %d shares, need %d", len(c.Shares), committee.Quorum())
@@ -68,8 +68,8 @@ func verifyCert(committee types.Committee, v crypto.Verifier, c *Cert) error {
 	for _, sh := range c.Shares {
 		bv.Add(sh.Signer, msg, sh.Sig)
 	}
-	// Whole-cert verdict memoized (VerifyCache verifiers): a DAG cert is
-	// re-verified once per child header that references it, which the
-	// memo collapses to one lookup per re-arrival.
+	// Whole-cert verdict memoized (VerifyCache verifiers): a DAG cert
+	// re-arrives in every CertPush that carries it, and each re-arrival
+	// is one lookup.
 	return bv.VerifyCert("bullshark-cert")
 }

@@ -65,9 +65,6 @@ type Provider interface {
 	AssembleCut(optimistic bool) types.Cut
 	// HasTipData reports local possession of a tip's data proposal.
 	HasTipData(t types.TipRef) bool
-	// ValidateCut structurally validates a proposed cut, including PoA
-	// verification for certified tips.
-	ValidateCut(cut types.Cut, leader types.NodeID) error
 	// NewTipCount reports how many lanes have a proposable tip strictly
 	// beyond base (the lane-coverage measure).
 	NewTipCount(base []types.Pos) int
@@ -105,21 +102,14 @@ type Signer interface {
 	ID() types.NodeID
 }
 
-// Verifier abstracts signature checks (satisfied by crypto.Verifier).
-type Verifier interface {
-	Verify(signer types.NodeID, msg, sig []byte) bool
-}
-
 // Config parameterizes the engine. Zero values take the documented
-// defaults (fill).
+// defaults (fill). The engine checks no signature: every message it is
+// handed has passed PreVerifier (see preverify.go) at the runtime's
+// ingress.
 type Config struct {
 	Committee types.Committee
 	Self      types.NodeID
 	Signer    Signer
-	Verifier  Verifier
-	// VerifySigs enables full cryptographic validation of QCs, TCs and
-	// leader signatures.
-	VerifySigs bool
 
 	// FastPath enables the single-round commit on n votes (§5.2.1).
 	FastPath bool
@@ -723,9 +713,6 @@ func (e *Engine) OnPrepVote(from types.NodeID, vote *types.PrepVote) {
 	if from != vote.Voter || !e.cfg.Committee.Valid(from) {
 		return
 	}
-	if e.cfg.VerifySigs && !e.cfg.Verifier.Verify(vote.Voter, vote.SigningBytes(), vote.Sig) {
-		return
-	}
 	st := e.slotIfActive(vote.Slot)
 	if st == nil {
 		return // outside the active window: never allocate for votes
@@ -868,14 +855,6 @@ func (e *Engine) processConfirm(from types.NodeID, conf *types.Confirm) {
 	if from != conf.Leader || e.cfg.Committee.Leader(s, v) != conf.Leader {
 		return
 	}
-	if e.cfg.VerifySigs {
-		if !e.cfg.Verifier.Verify(conf.Leader, conf.SigningBytes(), conf.Sig) {
-			return
-		}
-		if err := verifyPrepareQC(e.cfg.Committee, e.cfg.Verifier, e.cfg.OptimisticTips, &conf.QC); err != nil {
-			return
-		}
-	}
 	st := e.slotIfActive(s)
 	if st == nil {
 		return
@@ -905,9 +884,6 @@ func (e *Engine) processConfirm(from types.NodeID, conf *types.Confirm) {
 // OnConfirmAck aggregates acks at the leader into a CommitQC.
 func (e *Engine) OnConfirmAck(from types.NodeID, ack *types.ConfirmAck) {
 	if from != ack.Voter || !e.cfg.Committee.Valid(from) {
-		return
-	}
-	if e.cfg.VerifySigs && !e.cfg.Verifier.Verify(ack.Voter, ack.SigningBytes(), ack.Sig) {
 		return
 	}
 	st := e.slotIfActive(ack.Slot)
@@ -948,11 +924,6 @@ func (e *Engine) collectAck(st *slotState, ack *types.ConfirmAck) {
 
 // OnCommitNotice handles a broadcast commit certificate.
 func (e *Engine) OnCommitNotice(from types.NodeID, m *types.CommitNotice) {
-	if e.cfg.VerifySigs {
-		if err := verifyCommitQC(e.cfg.Committee, e.cfg.Verifier, &m.QC); err != nil {
-			return
-		}
-	}
 	if m.Proposal.Slot != m.QC.Slot || m.Proposal.Digest() != m.QC.Digest {
 		// The notice must carry the proposal matching the certificate.
 		// (Reproposals keep slot+view in the digest, so this binds both.)

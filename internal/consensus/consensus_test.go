@@ -48,42 +48,40 @@ type mockProvider struct {
 	newTips int
 }
 
-func (p *mockProvider) AssembleCut(bool) types.Cut                { return p.cut }
-func (p *mockProvider) HasTipData(types.TipRef) bool              { return p.hasData }
-func (p *mockProvider) ValidateCut(types.Cut, types.NodeID) error { return nil }
-func (p *mockProvider) NewTipCount([]types.Pos) int               { return p.newTips }
-func (p *mockProvider) NextExec() types.Slot                      { return 1 }
+func (p *mockProvider) AssembleCut(bool) types.Cut   { return p.cut }
+func (p *mockProvider) HasTipData(types.TipRef) bool { return p.hasData }
+func (p *mockProvider) NewTipCount([]types.Pos) int  { return p.newTips }
+func (p *mockProvider) NextExec() types.Slot         { return 1 }
 
-// net wires 4 engines through mock envs with manual pumping.
+// net wires 4 engines through mock envs with manual pumping. Every relayed
+// message passes the PreVerifier first, as a runtime's ingress does.
 type net struct {
 	engines   []*Engine
 	envs      []*mockEnv
 	providers []*mockProvider
+	pv        *PreVerifier
 }
 
 func newNet(t *testing.T, mutate func(id types.NodeID, cfg *Config)) *net {
 	t.Helper()
 	committee := types.NewCommittee(4)
 	suite := crypto.NewEd25519Suite(4, 3)
-	cut := types.NewEmptyCut(4)
-	cut.Tips[0] = types.TipRef{
-		Lane: 0, Position: 1, Digest: types.Digest{1},
-		// Structurally consistent PoA; share validity is the provider's
-		// concern (the mock accepts it).
-		Cert: &types.PoA{Lane: 0, Position: 1, Digest: types.Digest{1}},
+	poa := &types.PoA{Lane: 0, Position: 1, Digest: types.Digest{1}}
+	for _, id := range []types.NodeID{0, 1} { // f+1 shares
+		poa.Shares = append(poa.Shares, types.SigShare{Signer: id, Sig: suite.Signer(id).Sign(poa.SigningBytes())})
 	}
-	n := &net{}
+	cut := types.NewEmptyCut(4)
+	cut.Tips[0] = types.TipRef{Lane: 0, Position: 1, Digest: types.Digest{1}, Cert: poa}
+	n := &net{pv: &PreVerifier{Committee: committee, Verifier: suite.Verifier()}}
 	for i := 0; i < 4; i++ {
 		id := types.NodeID(i)
 		env := &mockEnv{self: id}
 		prov := &mockProvider{cut: cut, hasData: true, newTips: 4}
 		cfg := Config{
-			Committee:  committee,
-			Self:       id,
-			Signer:     suite.Signer(id),
-			Verifier:   suite.Verifier(),
-			VerifySigs: true,
-			FastPath:   true,
+			Committee: committee,
+			Self:      id,
+			Signer:    suite.Signer(id),
+			FastPath:  true,
 		}
 		if mutate != nil {
 			mutate(id, &cfg)
@@ -133,6 +131,9 @@ func (n *net) pump(t *testing.T, skip map[types.NodeID]bool) {
 }
 
 func (n *net) deliver(to, from types.NodeID, m types.Message) {
+	if n.pv.PreVerify(from, m) != nil {
+		return
+	}
 	e := n.engines[to]
 	switch msg := m.(type) {
 	case *types.Prepare:
@@ -275,18 +276,24 @@ func TestViewChangeCommitsUnderFaultyLeader(t *testing.T) {
 func TestPrepareValidation(t *testing.T) {
 	n := newNet(t, nil)
 	committee := types.NewCommittee(4)
+	suite := crypto.NewEd25519Suite(4, 3) // newNet's keys
 	leader := committee.Leader(1, 0)
-	e := n.engines[(int(leader)+1)%4] // some non-leader replica
-	env := n.envs[(int(leader)+1)%4]
+	target := types.NodeID((int(leader) + 1) % 4) // some non-leader replica
+	env := n.envs[target]
+	signed := func(p *types.Prepare) *types.Prepare {
+		p.Sig = suite.Signer(p.Leader).Sign(p.SigningBytes())
+		return p
+	}
 
 	cut := types.NewEmptyCut(4)
-	// Wrong leader identity.
-	prep := &types.Prepare{
-		Leader:   leader + 1,
+	// Wrong leader identity (validly signed by the impostor).
+	impostor := types.NodeID((int(leader) + 2) % 4)
+	prep := signed(&types.Prepare{
+		Leader:   impostor,
 		Proposal: types.ConsensusProposal{Slot: 1, View: 0, Cut: cut},
 		Ticket:   types.Ticket{Kind: types.TicketCommit},
-	}
-	e.OnPrepare(leader+1, prep)
+	})
+	n.deliver(target, impostor, prep)
 	// Right leader, bogus signature.
 	prep2 := &types.Prepare{
 		Leader:   leader,
@@ -294,14 +301,14 @@ func TestPrepareValidation(t *testing.T) {
 		Ticket:   types.Ticket{Kind: types.TicketCommit},
 		Sig:      make([]byte, 64),
 	}
-	e.OnPrepare(leader, prep2)
-	// View 1 without a TC.
-	prep3 := &types.Prepare{
+	n.deliver(target, leader, prep2)
+	// View 1 without a TC (validly signed).
+	prep3 := signed(&types.Prepare{
 		Leader:   committee.Leader(1, 1),
 		Proposal: types.ConsensusProposal{Slot: 1, View: 1, Cut: cut},
 		Ticket:   types.Ticket{Kind: types.TicketCommit},
-	}
-	e.OnPrepare(committee.Leader(1, 1), prep3)
+	})
+	n.deliver(target, committee.Leader(1, 1), prep3)
 
 	for _, sm := range env.sent {
 		if _, isVote := sm.msg.(*types.PrepVote); isVote {
@@ -373,17 +380,22 @@ func TestCommitNoticeValidation(t *testing.T) {
 		}},
 		Proposal: prop,
 	}
-	n.engines[3].OnCommitNotice(0, forged)
+	n.deliver(3, 0, forged)
 	if n.engines[3].Decided(1) {
 		t.Fatal("forged CommitQC decided a slot")
 	}
-	// And a QC/proposal mismatch must not decide either (valid-looking QC
-	// for a different digest).
+	// And a QC/proposal mismatch must not decide either (a genuine QC for
+	// a different digest).
+	suite := crypto.NewEd25519Suite(4, 3) // newNet's keys
 	mismatch := &types.CommitNotice{
 		QC:       types.CommitQC{Slot: 1, View: 0, Digest: types.Digest{9}},
 		Proposal: prop,
 	}
-	n.engines[3].OnCommitNotice(0, mismatch)
+	ack := types.ConfirmAck{Slot: 1, View: 0, Digest: types.Digest{9}}
+	for _, id := range []types.NodeID{0, 1, 2} {
+		mismatch.QC.Shares = append(mismatch.QC.Shares, types.SigShare{Signer: id, Sig: suite.Signer(id).Sign(ack.SigningBytes())})
+	}
+	n.deliver(3, 0, mismatch)
 	if n.engines[3].Decided(1) {
 		t.Fatal("mismatched CommitNotice decided a slot")
 	}

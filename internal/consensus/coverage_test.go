@@ -16,7 +16,6 @@ func coverageEngine(n int, self types.NodeID) (*Engine, *mockEnv, *mockProvider)
 		Committee: types.NewCommittee(n),
 		Self:      self,
 		Signer:    crypto.NewNopSuite(n).Signer(self),
-		Verifier:  crypto.NewNopSuite(n).Verifier(),
 	}, env, prov)
 	return e, env, prov
 }
@@ -103,7 +102,7 @@ func TestCoverageNeed(t *testing.T) {
 		env := &mockEnv{}
 		e := NewEngine(Config{
 			Committee: types.NewCommittee(4), MaxParallel: 2,
-			Signer: crypto.NewNopSuite(4).Signer(0), Verifier: crypto.NewNopSuite(4).Verifier(),
+			Signer: crypto.NewNopSuite(4).Signer(0),
 		}, env, &mockProvider{cut: types.NewEmptyCut(4)})
 		for s := types.Slot(1); s <= 8; s++ {
 			commitCut(e, s, make([]types.Pos, 4))

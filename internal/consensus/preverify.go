@@ -7,11 +7,11 @@ import (
 	"repro/internal/types"
 )
 
-// This file holds the consensus layer's stateless signature checks, split
-// out of the stateful engine so they can run on the transport's parallel
-// pre-verification stage (runtime.PreVerifier). The engine's inline
-// validation calls the same helpers; with a shared crypto.VerifyCache a
-// pre-verified message's signatures resolve to memo lookups there.
+// This file holds the consensus layer's signature checks — all of them.
+// Every runtime runs PreVerifier on a peer's message before the engine
+// sees it (runtime.PreVerifier), so the engine's handlers check no
+// signature themselves: they keep only sender identity, committee
+// membership, digest/slot/view matches and the other structural rules.
 
 // PreVerifier checks consensus message signatures without touching engine
 // state. Safe for concurrent use (immutable fields; a crypto.VerifyCache
@@ -43,7 +43,7 @@ func (pv *PreVerifier) PreVerify(from types.NodeID, m types.Message) error {
 	case *types.ConfirmAck:
 		return verifySignerMsg(pv.Committee, pv.Verifier, msg.Voter, msg.SigningBytes(), msg.Sig)
 	case *types.CommitNotice:
-		return verifyCommitQC(pv.Committee, pv.Verifier, &msg.QC)
+		return crypto.VerifyCommitQC(pv.Verifier, pv.Committee, &msg.QC)
 	case *types.Timeout:
 		return verifyTimeoutSigs(pv.Committee, pv.Verifier, pv.OptimisticTips, msg)
 	}
@@ -70,7 +70,7 @@ func verifyPrepareSigs(committee types.Committee, v crypto.Verifier, prep *types
 		return fmt.Errorf("consensus: bad prepare signature from %s", prep.Leader)
 	}
 	if qc := prep.Ticket.Commit; qc != nil {
-		if err := verifyCommitQC(committee, v, qc); err != nil {
+		if err := crypto.VerifyCommitQC(v, committee, qc); err != nil {
 			return err
 		}
 	}
@@ -79,13 +79,18 @@ func verifyPrepareSigs(committee types.Committee, v crypto.Verifier, prep *types
 			return err
 		}
 	}
-	// Each tip's PoA verifies as its own memoized certificate rather than
-	// one merged share batch: the same PoA re-appears across consecutive
-	// cuts (slow lanes keep their tip for many slots) and in standalone
-	// broadcasts, so per-cert memoization turns the n-tips-×-f+1-shares
-	// cost of a repeat Prepare into n lookups.
-	for i := range prep.Proposal.Cut.Tips {
-		if cert := prep.Proposal.Cut.Tips[i].Cert; cert != nil {
+	return verifyCutPoAs(committee, v, &prep.Proposal.Cut)
+}
+
+// verifyCutPoAs checks the PoA of every certified tip in a cut. Each PoA
+// verifies as its own memoized certificate rather than one merged share
+// batch: the same PoA re-appears across consecutive cuts (slow lanes keep
+// their tip for many slots) and in standalone broadcasts, so per-cert
+// memoization turns the n-tips-×-f+1-shares cost of a repeat cut into n
+// lookups.
+func verifyCutPoAs(committee types.Committee, v crypto.Verifier, cut *types.Cut) error {
+	for i := range cut.Tips {
+		if cert := cut.Tips[i].Cert; cert != nil {
 			if err := crypto.VerifyPoA(v, committee, cert); err != nil {
 				return err
 			}
@@ -94,12 +99,29 @@ func verifyPrepareSigs(committee types.Committee, v crypto.Verifier, prep *types
 	return nil
 }
 
+// verifyTimeoutSigs checks a Timeout's signature, its HighQC and the
+// PoAs of its HighProp's cut: a TC's winning proposal is reproposed with
+// that cut, certificates included, by whichever replica leads the next
+// view.
 func verifyTimeoutSigs(committee types.Committee, v crypto.Verifier, optimisticTips bool, t *types.Timeout) error {
 	if err := verifySignerMsg(committee, v, t.Voter, t.SigningBytes(), t.Sig); err != nil {
 		return err
 	}
 	if t.HighQC != nil {
-		return verifyPrepareQC(committee, v, optimisticTips, t.HighQC)
+		if err := verifyPrepareQC(committee, v, optimisticTips, t.HighQC); err != nil {
+			return err
+		}
+	}
+	if t.HighProp != nil {
+		return verifyCutPoAs(committee, v, &t.HighProp.Cut)
 	}
 	return nil
+}
+
+func verifyPrepareQC(committee types.Committee, v crypto.Verifier, optimisticTips bool, qc *types.PrepareQC) error {
+	strongThreshold := 0
+	if optimisticTips {
+		strongThreshold = committee.PoAQuorum() // f+1 strong (§5.5.2)
+	}
+	return crypto.VerifyPrepareQC(v, committee, qc, strongThreshold)
 }

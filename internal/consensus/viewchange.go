@@ -3,25 +3,22 @@ package consensus
 import (
 	"sort"
 
-	"repro/internal/crypto"
 	"repro/internal/types"
 )
 
 // --- Prepare validation ---
 
-// validPrepare enforces every structural and cryptographic rule on an
-// incoming Prepare: leader legitimacy, ticket validity (commit ticket for
-// view 0, TC for later views), winning-proposal enforcement, and cut
-// validity (delegated to the provider for PoA checks).
+// validPrepare enforces every structural rule on an incoming Prepare:
+// leader legitimacy, ticket validity (commit ticket for view 0, TC for
+// later views), winning-proposal enforcement, and cut validity. The
+// signatures it relies on — the leader's, the ticket's certificate and
+// the cut's PoAs — were checked by PreVerifier at ingress.
 func (e *Engine) validPrepare(from types.NodeID, prep *types.Prepare) bool {
 	s, v := prep.Proposal.Slot, prep.Proposal.View
 	if s == 0 {
 		return false
 	}
 	if prep.Leader != from || e.cfg.Committee.Leader(s, v) != prep.Leader {
-		return false
-	}
-	if e.cfg.VerifySigs && !e.cfg.Verifier.Verify(prep.Leader, prep.SigningBytes(), prep.Sig) {
 		return false
 	}
 	winnerRepro := false
@@ -36,21 +33,11 @@ func (e *Engine) validPrepare(from types.NodeID, prep *types.Prepare) bool {
 			if qc == nil || qc.Slot != s-k {
 				return false
 			}
-			if e.cfg.VerifySigs {
-				if err := verifyCommitQC(e.cfg.Committee, e.cfg.Verifier, qc); err != nil {
-					return false
-				}
-			}
 		}
 	default:
 		tc := prep.Ticket.TC
 		if prep.Ticket.Kind != types.TicketTC || tc == nil || tc.Slot != s || tc.View != v-1 {
 			return false
-		}
-		if e.cfg.VerifySigs {
-			if err := crypto.VerifyTC(e.cfg.Verifier, e.cfg.Committee, tc); err != nil {
-				return false
-			}
 		}
 		// A TC-selected winner constrains the reproposal (§5.3 step 3).
 		if winner := tc.WinningProposal(e.cfg.Committee); winner != nil {
@@ -71,9 +58,6 @@ func (e *Engine) validPrepare(from types.NodeID, prep *types.Prepare) bool {
 	if err := prep.Proposal.Cut.Validate(e.cfg.Committee); err != nil {
 		return false
 	}
-	if err := e.provider.ValidateCut(prep.Proposal.Cut, prep.Leader); err != nil {
-		return false
-	}
 	if !e.cfg.OptimisticTips && !winnerRepro {
 		// Certified-tips-only deployments reject uncertified non-leader
 		// tips outright (§5.5.2 is an explicit opt-in). Winner reproposals
@@ -87,21 +71,6 @@ func (e *Engine) validPrepare(from types.NodeID, prep *types.Prepare) bool {
 		}
 	}
 	return true
-}
-
-// verifyPrepareQC and verifyCommitQC are stateless so the engine's inline
-// validation and the PreVerifier share one implementation (the inline call
-// is a memo hit for pre-verified messages).
-func verifyPrepareQC(committee types.Committee, v crypto.Verifier, optimisticTips bool, qc *types.PrepareQC) error {
-	strongThreshold := 0
-	if optimisticTips {
-		strongThreshold = committee.PoAQuorum() // f+1 strong (§5.5.2)
-	}
-	return crypto.VerifyPrepareQC(v, committee, qc, strongThreshold)
-}
-
-func verifyCommitQC(committee types.Committee, v crypto.Verifier, qc *types.CommitQC) error {
-	return crypto.VerifyCommitQC(v, committee, qc)
 }
 
 // --- mutiny & timeout certificates (§5.3) ---
@@ -151,16 +120,6 @@ func (e *Engine) OnTimeoutMsg(from types.NodeID, t *types.Timeout) {
 	// Accept only if we have not advanced past the complained-about view.
 	if st.view > t.View {
 		return
-	}
-	if e.cfg.VerifySigs {
-		if !e.cfg.Verifier.Verify(t.Voter, t.SigningBytes(), t.Sig) {
-			return
-		}
-		if t.HighQC != nil {
-			if err := verifyPrepareQC(e.cfg.Committee, e.cfg.Verifier, e.cfg.OptimisticTips, t.HighQC); err != nil {
-				return
-			}
-		}
 	}
 	e.collectTimeout(st, from, t)
 }

@@ -11,7 +11,7 @@ import (
 // None of them may allocate slot state, corrupt the frontier (which
 // would make gcSlots delete live slots), or grow memory.
 func TestFarFutureSlotFloodBounded(t *testing.T) {
-	n := newNet(t, func(id types.NodeID, cfg *Config) { cfg.VerifySigs = false })
+	n := newNet(t, nil)
 	e := n.engines[0]
 	slotsBefore := len(e.slots)
 	frontierBefore := e.Frontier()
@@ -36,7 +36,7 @@ func TestFarFutureSlotFloodBounded(t *testing.T) {
 // still tracked — a timeout complaint for a legitimately running slot
 // must allocate state so the replica can join the mutiny.
 func TestWindowAdmitsNearbySlots(t *testing.T) {
-	n := newNet(t, func(id types.NodeID, cfg *Config) { cfg.VerifySigs = false })
+	n := newNet(t, nil)
 	e := n.engines[0]
 
 	// Slot 3 is within MaxParallel (default 4) of the started frontier.
@@ -56,7 +56,7 @@ func TestWindowAdmitsNearbySlots(t *testing.T) {
 // follows the execution frontier reported by the provider and old-slot
 // messages stop allocating state after GC.
 func TestWindowFollowsProgress(t *testing.T) {
-	n := newNet(t, func(id types.NodeID, cfg *Config) { cfg.VerifySigs = false })
+	n := newNet(t, nil)
 	e := n.engines[0]
 	if !e.inWindow(1) || !e.inWindow(types.Slot(e.cfg.MaxParallel)) {
 		t.Fatal("genesis window must admit the first k slots")

@@ -103,7 +103,9 @@ func TestEquivocatingLaneDoesNotBreakAgreement(t *testing.T) {
 }
 
 // TestForgedMessagesRejected: messages with invalid signatures or forged
-// certificates must not affect honest replicas (with VerifySigs on).
+// certificates must not affect honest replicas (with VerifySigs on). The
+// forgeries travel the way a runtime delivers them: sent by r3 through
+// the simulated network, pre-verified at r0's ingress.
 func TestForgedMessagesRejected(t *testing.T) {
 	committee := types.NewCommittee(4)
 	suite := crypto.NewEd25519Suite(4, 9)
@@ -115,6 +117,7 @@ func TestForgedMessagesRejected(t *testing.T) {
 		Seed: 9,
 	})
 	var nodes []*core.Node
+	var forger *ctxCapture
 	ids := []types.NodeID{0, 1, 2, 3}
 	for i := 0; i < 4; i++ {
 		nd := core.NewNode(core.Config{
@@ -122,11 +125,16 @@ func TestForgedMessagesRejected(t *testing.T) {
 			VerifySigs: true, FastPath: true, OptimisticTips: true, Sink: lc,
 		})
 		nodes = append(nodes, nd)
-		eng.AddNode(nd)
+		if i == 3 {
+			forger = &ctxCapture{Node: nd}
+			eng.AddNode(forger)
+		} else {
+			eng.AddNode(nd)
+		}
 	}
 	workload.Install(eng, ids, workload.Config{TotalRate: 4000, Start: 0, End: 5 * time.Second})
 
-	// Periodically inject forged traffic "from" r3 into r0.
+	// Periodically send forged traffic from r3 to r0.
 	bogusSig := make([]byte, 64)
 	eng.Every(100*time.Millisecond, 200*time.Millisecond, 5*time.Second, func(now time.Duration) {
 		forgedProp := &types.Proposal{
@@ -134,14 +142,17 @@ func TestForgedMessagesRejected(t *testing.T) {
 			Batch: types.NewSyntheticBatch(3, 999, 10, 5120, now, now),
 			Sig:   bogusSig,
 		}
-		nodes[0].OnMessage(ctxOf(eng, 0), 3, forgedProp)
+		forger.ctx.Send(0, forgedProp)
+		// The QC names the proposal it carries: only its signatures are
+		// forged.
+		prop := types.ConsensusProposal{Slot: 999, Cut: types.NewEmptyCut(4)}
 		forgedCommit := &types.CommitNotice{
-			QC: types.CommitQC{Slot: 999, View: 0, Digest: types.Digest{1}, Shares: []types.SigShare{
+			QC: types.CommitQC{Slot: 999, View: 0, Digest: prop.Digest(), Shares: []types.SigShare{
 				{Signer: 1, Sig: bogusSig}, {Signer: 2, Sig: bogusSig}, {Signer: 3, Sig: bogusSig},
 			}},
-			Proposal: types.ConsensusProposal{Slot: 999, Cut: types.NewEmptyCut(4)},
+			Proposal: prop,
 		}
-		nodes[0].OnMessage(ctxOf(eng, 0), 3, forgedCommit)
+		forger.ctx.Send(0, forgedCommit)
 	})
 	eng.Run(10 * time.Second)
 
@@ -152,28 +163,22 @@ func TestForgedMessagesRejected(t *testing.T) {
 	if nodes[0].Engine().Decided(999) {
 		t.Fatal("forged CommitQC decided a slot")
 	}
+	if _, dropped := eng.Stats(); dropped == 0 {
+		t.Fatal("no forgery was dropped at ingress")
+	}
 }
 
-// ctxOf builds a minimal runtime.Context for direct message injection in
-// tests (sends from it are delivered through the engine's own plumbing
-// because the node under test uses its own ctx for replies — we only need
-// Now / timers to be safe no-ops here).
-func ctxOf(eng *sim.Engine, id types.NodeID) runtime.Context {
-	return injectCtx{eng: eng, id: id}
+// ctxCapture keeps the runtime context the engine hands a node, so a test
+// can send on that node's behalf through the network.
+type ctxCapture struct {
+	*core.Node
+	ctx runtime.Context
 }
 
-type injectCtx struct {
-	eng *sim.Engine
-	id  types.NodeID
+func (c *ctxCapture) Init(ctx runtime.Context) {
+	c.ctx = ctx
+	c.Node.Init(ctx)
 }
-
-func (c injectCtx) ID() types.NodeID                         { return c.id }
-func (c injectCtx) Now() time.Duration                       { return c.eng.Now() }
-func (c injectCtx) Send(types.NodeID, types.Message)         {}
-func (c injectCtx) Broadcast(types.Message)                  {}
-func (c injectCtx) SetTimer(time.Duration, runtime.TimerTag) {}
-func (c injectCtx) CancelTimer(runtime.TimerTag)             {}
-func (c injectCtx) Rand() uint64                             { return 4 }
 
 // TestLaneStateRejectsForkVotes exercises the lane layer's one-vote-per-
 // position rule directly under real signatures.
@@ -183,8 +188,7 @@ func TestLaneStateRejectsForkVotes(t *testing.T) {
 	mk := func(id types.NodeID) *lane.State {
 		return lane.NewState(lane.Config{
 			Committee: committee, Self: id,
-			Signer: suite.Signer(id), Verifier: suite.Verifier(),
-			VerifyProposals: true,
+			Signer: suite.Signer(id),
 		})
 	}
 	honest := mk(1)

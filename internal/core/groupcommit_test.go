@@ -3,12 +3,14 @@ package core_test
 import (
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/crypto"
 	"repro/internal/runtime"
 	"repro/internal/storage"
 	"repro/internal/types"
+	"repro/internal/workload"
 )
 
 // recordingCtx captures sends for assertions.
@@ -50,6 +52,20 @@ func groupCommitNode(t *testing.T, j core.Journal) *core.Node {
 		Journal:        j,
 		GroupCommit:    true,
 	})
+}
+
+// TestGroupCommitUnderSimulator: the simulator runs the Flusher barrier
+// after every event, as the real runtime does after every burst, so a
+// group-commit cluster — every send gated behind a journal sync — commits
+// under it too.
+func TestGroupCommitUnderSimulator(t *testing.T) {
+	c := newClusterWith(t, func(o *clusterOpts) { o.fastPath = true; o.groupCommit = true })
+	workload.Install(c.engine, c.ids, workload.Config{TotalRate: 4000, Start: 0, End: 3 * time.Second})
+	c.engine.Run(6 * time.Second)
+	if c.recorder.Total() < 10_000 {
+		t.Fatalf("committed only %d txs under group commit", c.recorder.Total())
+	}
+	checkPrefixAgreement(t, c.logs.logs)
 }
 
 // TestGroupCommitGatesSendsUntilFlush pins the write-before-externalize

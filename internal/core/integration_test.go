@@ -63,6 +63,7 @@ type clusterOpts struct {
 	fastPath       bool
 	optimisticTips bool
 	weakVotes      bool
+	groupCommit    bool // with a MemJournal per node
 	shards         int
 	faults         *sim.FaultSchedule
 	seed           uint64
@@ -105,6 +106,10 @@ func newCluster(o clusterOpts) *cluster {
 	})
 	c := &cluster{engine: eng, logs: lc, recorder: rec}
 	for i := 0; i < o.n; i++ {
+		var journal core.Journal
+		if o.groupCommit {
+			journal = core.NewMemJournal()
+		}
 		nd := core.NewNode(core.Config{
 			Committee:      committee,
 			Self:           types.NodeID(i),
@@ -115,6 +120,8 @@ func newCluster(o clusterOpts) *cluster {
 			WeakVotes:      o.weakVotes,
 			Shards:         o.shards,
 			ViewTimeout:    o.viewTimeout,
+			Journal:        journal,
+			GroupCommit:    o.groupCommit,
 			Sink:           lc,
 		})
 		c.nodes = append(c.nodes, nd)

@@ -52,8 +52,11 @@ type Config struct {
 	Committee types.Committee
 	Self      types.NodeID
 	Suite     crypto.Suite
-	// VerifySigs enables full signature verification everywhere. Large
-	// simulations disable it and charge crypto through the network model.
+	// VerifySigs turns on signature checking: PreVerify, which every
+	// runtime runs on a peer's message before delivery and which is the
+	// only place a signature is checked, and the VerifyCache behind it.
+	// Large simulations leave it off and charge crypto through the
+	// network model.
 	VerifySigs bool
 
 	// FastPath enables the 1-round commit (§5.2.1); default set by caller.
@@ -90,12 +93,10 @@ type Config struct {
 	Journal Journal
 	// GroupCommit gates outbound sends behind the journal's group-commit
 	// barrier: during an event handler, sends accumulate instead of going
-	// out, and Flush (called by the runtime after each event burst)
-	// performs one Journal.Sync covering every record the burst appended
-	// before releasing them — write-before-externalize at amortized
-	// cost. Requires a runtime that calls runtime.Flusher (the TCP
-	// transport's loop does; the simulator does not — simulated
-	// deployments must leave this off).
+	// out, and Flush (which every runtime calls after each event burst,
+	// runtime.Flusher) performs one Journal.Sync covering every record the
+	// burst appended before releasing them — write-before-externalize at
+	// amortized cost.
 	GroupCommit bool
 	// OnFatal, when set, is invoked (once, from its own goroutine) when
 	// the replica halts on an unrecoverable journal failure: a Sync error
@@ -143,8 +144,10 @@ type Node struct {
 	signer   crypto.Signer
 	verifier crypto.Verifier
 	// vcache is the verified-signature memo behind verifier when
-	// VerifySigs is on (nil otherwise): the transport's pre-verification
-	// workers populate it, the state machines' inline checks hit it.
+	// VerifySigs is on (nil otherwise). PreVerify is the only check, so
+	// its hits are repeats across messages: a PoA riding in consecutive
+	// cuts, a QC in a Confirm and again in Timeouts, this replica's own
+	// signatures (the signer records them) inside certificates.
 	vcache *crypto.VerifyCache
 
 	// lanePV / consPV are the stateless signature checkers composed by
@@ -345,12 +348,10 @@ func NewNode(cfg Config) *Node {
 		n.reputation[i] = repMax
 	}
 	n.lanes = lane.NewState(lane.Config{
-		Committee:       cfg.Committee,
-		Self:            cfg.Self,
-		Signer:          n.signer,
-		Verifier:        n.verifier,
-		VerifyProposals: cfg.VerifySigs,
-		Journal:         laneJournal{cfg.Journal},
+		Committee: cfg.Committee,
+		Self:      cfg.Self,
+		Signer:    n.signer,
+		Journal:   laneJournal{cfg.Journal},
 	})
 	n.orderer = order.NewOrderer(cfg.Committee, n.lanes.Store())
 	n.fetcher = fetch.NewManager(fetch.Config{Self: cfg.Self})
@@ -358,8 +359,6 @@ func NewNode(cfg Config) *Node {
 		Committee:      cfg.Committee,
 		Self:           cfg.Self,
 		Signer:         n.signer,
-		Verifier:       n.verifier,
-		VerifySigs:     cfg.VerifySigs,
 		FastPath:       cfg.FastPath,
 		OptimisticTips: cfg.OptimisticTips,
 		WeakVotes:      cfg.WeakVotes,
@@ -1011,21 +1010,6 @@ func (c *cutProvider) optimistic(l types.NodeID) bool {
 
 func (c *cutProvider) HasTipData(t types.TipRef) bool {
 	return c.node().lanes.HasProposal(t)
-}
-
-func (c *cutProvider) ValidateCut(cut types.Cut, leader types.NodeID) error {
-	nd := c.node()
-	if !nd.cfg.VerifySigs {
-		return nil
-	}
-	for _, t := range cut.Tips {
-		if t.Cert != nil {
-			if err := crypto.VerifyPoA(nd.verifier, nd.cfg.Committee, t.Cert); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // NewTipCount counts, lane by lane, the tips a cut assembled now would

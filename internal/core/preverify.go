@@ -9,15 +9,21 @@ import (
 
 // The Autobahn replica's half of the staged ingress pipeline: Node
 // implements runtime.PreVerifier by composing the lane and consensus
-// pre-verifiers, so the transport can check every inbound signature on a
-// parallel worker stage before the message reaches the single-threaded
-// event loop. All three share one crypto.VerifyCache with the state
-// machines, which makes the inline re-checks constant-time memo lookups.
+// pre-verifiers. Every runtime runs it on a peer's message before
+// delivery — the transport on a parallel worker stage ahead of the
+// single-threaded event loop, the simulator inline — and it is the only
+// signature check: the lane, consensus and commit handlers behind it
+// check none. The pre-verifiers share one crypto.VerifyCache, which
+// deduplicates across messages (see Node.vcache). Messages that never
+// cross it are trusted by construction: self-addressed handoffs between
+// shards and the control plane, and journal replay at recovery, which is
+// this replica's own durable state.
 
 var _ runtime.PreVerifier = (*Node)(nil)
 
 // PreVerify checks m's signatures without touching protocol state. Safe
-// for concurrent use; called by the transport's verification workers.
+// for concurrent use: the transport calls it from its verification
+// workers.
 func (n *Node) PreVerify(from types.NodeID, m types.Message) error {
 	if !n.cfg.VerifySigs {
 		return nil

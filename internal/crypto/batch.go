@@ -16,14 +16,11 @@ import (
 // (VerifyCache) and a BatchVerifier that checks many signatures at once,
 // spreading the curve arithmetic across every available core.
 //
-// The memo is the trust hand-off between the pipeline stages: transport
-// workers pre-verify a message's signatures off the event loop, populating
-// the memo; when the single-threaded state machine later re-checks the
-// same signature inline, the check resolves to a constant-time lookup
-// instead of a second scalar multiplication. Paths that bypass
-// pre-verification (the discrete-event simulator, direct unit tests)
-// simply miss the memo and fall through to a full verification, so no
-// path ever trusts an unchecked signature.
+// Pre-verification (runtime.PreVerifier) is the only place a signature
+// is checked, so the memo's hits are repeats across messages: a PoA that
+// rides in many consecutive cuts, a QC that arrives in a Confirm and again
+// in Timeouts, a replica's own share inside the certificates that
+// aggregate it. Each is verified once and looked up afterwards.
 
 // memoKey identifies one verified signature. The digest covers both the
 // message and the signature bytes: caching by message alone would let an

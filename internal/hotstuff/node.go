@@ -160,7 +160,8 @@ func NewNode(cfg Config) *Node {
 	cfg.fill()
 	verifier := cfg.Suite.Verifier()
 	if cfg.VerifySigs {
-		// Memoized: inline checks of pre-verified messages are cache hits.
+		// Memoized: a justify QC arrives in its block and again in every
+		// NewView that carries it.
 		verifier = crypto.NewVerifyCache(verifier, 0)
 	}
 	return &Node{
@@ -310,9 +311,6 @@ func (n *Node) OnMessage(ctx runtime.Context, from types.NodeID, m types.Message
 		if from != msg.Voter {
 			return
 		}
-		if n.cfg.VerifySigs && !n.verifier.Verify(msg.Voter, msg.SigningBytes(), msg.Sig) {
-			return
-		}
 		n.collectNewView(ctx, msg)
 	case *BatchMsg:
 		if n.cfg.Variant == Vanilla {
@@ -440,9 +438,6 @@ func (n *Node) onProposal(ctx runtime.Context, from types.NodeID, blk *Block) {
 	if blk.Proposer != from {
 		return
 	}
-	if n.cfg.VerifySigs && !n.verifier.Verify(blk.Proposer, blk.SigningBytes(), blk.Sig) {
-		return
-	}
 	d := blk.Digest()
 	if _, dup := n.blocks[d]; dup {
 		return
@@ -450,9 +445,6 @@ func (n *Node) onProposal(ctx runtime.Context, from types.NodeID, blk *Block) {
 	// Validate the justify QC and adopt it.
 	if blk.Justify != nil {
 		if blk.Justify.Block != blk.Parent {
-			return
-		}
-		if n.cfg.VerifySigs && !n.verifyQC(blk.Justify) {
 			return
 		}
 		n.adoptQC(ctx, blk.Justify)
@@ -566,9 +558,6 @@ func (n *Node) onBatchData(ctx runtime.Context, b *types.Batch) {
 
 func (n *Node) onVote(ctx runtime.Context, from types.NodeID, v *Vote) {
 	if from != v.Voter {
-		return
-	}
-	if n.cfg.VerifySigs && !n.verifier.Verify(v.Voter, v.SigningBytes(), v.Sig) {
 		return
 	}
 	n.collectVote(ctx, v)
@@ -775,9 +764,6 @@ func (n *Node) findOwnBatch(seq uint64) *types.Batch {
 
 func (n *Node) collectNewView(ctx runtime.Context, nv *NewView) {
 	if nv.HighQC != nil {
-		if n.cfg.VerifySigs && !n.verifyQC(nv.HighQC) {
-			return
-		}
 		n.adoptQC(ctx, nv.HighQC)
 	}
 	v := uint64(nv.Round)
@@ -798,10 +784,6 @@ func (n *Node) collectNewView(ctx runtime.Context, nv *NewView) {
 	if n.leaderOfView(v+1) == n.cfg.Self {
 		n.propose(ctx)
 	}
-}
-
-func (n *Node) verifyQC(qc *QC) bool {
-	return verifyQC(n.cfg.Committee, n.verifier, qc) == nil
 }
 
 // serveBlocks answers an ancestor pull with the requested chain (bounded).

@@ -8,10 +8,10 @@ import (
 	"repro/internal/types"
 )
 
-// Staged-ingress mirror for the HotStuff baselines: the same parallel
-// pre-verification hook the Autobahn replica implements, so baseline
-// comparisons on the real runtime measure protocol differences rather
-// than which system got the multi-core verification pipeline.
+// The HotStuff baselines' signature checks — all of them: the simulator
+// (the only runtime the baselines run under) calls PreVerify on every
+// peer message before delivery, exactly as it does for the Autobahn
+// replica, so the handlers check no signature themselves.
 
 var _ runtime.PreVerifier = (*Node)(nil)
 
@@ -49,8 +49,8 @@ func (n *Node) PreVerify(from types.NodeID, m types.Message) error {
 	return nil
 }
 
-// verifyQC is the stateless QC check shared by the inline path and the
-// pre-verification pipeline (batch-verified: shares spread across cores).
+// verifyQC is the stateless QC check (batch-verified: shares spread
+// across cores).
 func verifyQC(committee types.Committee, v crypto.Verifier, qc *QC) error {
 	if len(qc.Shares) < committee.Quorum() {
 		return fmt.Errorf("hotstuff: QC has %d shares, need %d", len(qc.Shares), committee.Quorum())
@@ -66,6 +66,6 @@ func verifyQC(committee types.Committee, v crypto.Verifier, qc *QC) error {
 	}
 	// Whole-QC verdict memoized (VerifyCache verifiers): the same justify
 	// QC arrives in the proposal and again in every NewView that carries
-	// it, and the inline re-check is then a single lookup.
+	// it, and each re-arrival is then a single lookup.
 	return bv.VerifyCert("hotstuff-qc")
 }

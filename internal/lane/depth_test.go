@@ -19,7 +19,7 @@ func TestDepthGaugeFollowsProduction(t *testing.T) {
 	if p1 == nil || s.Depth() != 1 {
 		t.Fatalf("after first batch: proposal=%v depth=%d, want 1", p1 != nil, s.Depth())
 	}
-	// Second batch queues behind the uncertified car (PipelineCars = 1).
+	// Second batch queues behind the uncertified car (one car in flight).
 	if p := s.AddBatch(batch(0, 2)); p != nil || s.Depth() != 2 {
 		t.Fatalf("after second batch: proposal=%v depth=%d, want 2", p != nil, s.Depth())
 	}

@@ -38,23 +38,16 @@ type nopJournal struct{}
 func (nopJournal) OwnProposal(*types.Proposal) {}
 func (nopJournal) Vote(*types.Vote)            {}
 
-// Config parameterizes a replica's lane state.
+// Config parameterizes a replica's lane state. The state checks no
+// signature: every proposal, vote and PoA it is handed has passed
+// PreVerifier (see preverify.go) at the runtime's ingress.
 type Config struct {
 	Committee types.Committee
 	Self      types.NodeID
 	Signer    crypto.Signer
-	Verifier  crypto.Verifier
 	// Journal durably records proposals and votes before they leave the
 	// replica (nil = no persistence).
 	Journal Journal
-	// VerifyProposals enables full signature verification of incoming
-	// proposals and votes. Disable only in simulations where signature
-	// cost is modeled by the network layer instead.
-	VerifyProposals bool
-	// PipelineCars, when > 1, allows that many un-certified own proposals
-	// in flight (§5.5.1). The paper's prototype (and our default) uses 1:
-	// a new car starts only once the previous car's PoA completed.
-	PipelineCars int
 }
 
 const (
@@ -70,9 +63,6 @@ const (
 )
 
 func (c *Config) fill() {
-	if c.PipelineCars == 0 {
-		c.PipelineCars = 1
-	}
 	if c.Journal == nil {
 		c.Journal = nopJournal{}
 	}
@@ -182,7 +172,11 @@ func (s *State) OldestOutstanding() *types.Proposal {
 }
 
 func (s *State) tryPropose() *types.Proposal {
-	if len(s.pending) == 0 || len(s.outstanding) >= s.cfg.PipelineCars {
+	// One car in flight, as in the paper's prototype (§5.5.1): a new car
+	// starts only once the previous car's PoA completed. (A restart can
+	// restore several outstanding cars; a new one waits until each has
+	// certified or committed.)
+	if len(s.pending) == 0 || len(s.outstanding) > 0 {
 		return nil
 	}
 	// Mini-batching (§6): a car carries the pending batches (up to the
@@ -258,21 +252,15 @@ func (s *State) OnVote(v *types.Vote) ([]*types.Proposal, *types.PoA, error) {
 	if !s.cfg.Committee.Valid(v.Voter) {
 		return nil, nil, fmt.Errorf("lane: vote from unknown replica %s", v.Voter)
 	}
-	if s.cfg.VerifyProposals {
-		// Stateless check shared with the pre-verification pipeline: a
-		// pre-verified vote resolves to a memo hit here.
-		if err := VerifyVoteSig(s.cfg.Committee, s.cfg.Verifier, v); err != nil {
-			return nil, nil, err
-		}
-	}
 	set := s.votes[v.Position]
 	if _, dup := set[v.Voter]; dup {
 		return nil, nil, nil
 	}
 	set[v.Voter] = types.SigShare{Signer: v.Voter, Sig: v.Sig}
 
-	// Certify from the oldest outstanding car forward; with pipelined cars
-	// (PipelineCars > 1) one vote can unblock a cascade of completions.
+	// Certify from the oldest outstanding car forward; with several
+	// outstanding cars (restored after a restart) one vote can unblock a
+	// cascade of completions.
 	var props []*types.Proposal
 	var lastPoA *types.PoA
 	for len(s.outstanding) > 0 {
@@ -321,14 +309,6 @@ func (s *State) OnProposal(p *types.Proposal) ([]*types.Vote, error) {
 	}
 	if err := p.Batch.Validate(); err != nil {
 		return nil, err
-	}
-	if s.cfg.VerifyProposals {
-		// Stateless checks (proposer signature + parent PoA) shared with
-		// the pre-verification pipeline: a pre-verified proposal resolves
-		// to memo hits here instead of repeating the curve arithmetic.
-		if err := VerifyProposalSigs(s.cfg.Committee, s.cfg.Verifier, p); err != nil {
-			return nil, err
-		}
 	}
 	pv := s.peers[p.Lane]
 
@@ -425,26 +405,16 @@ func (s *State) IngestOwn(p *types.Proposal) error {
 	if err := p.Batch.Validate(); err != nil {
 		return err
 	}
-	if s.cfg.VerifyProposals {
-		if err := VerifyProposalSigs(s.cfg.Committee, s.cfg.Verifier, p); err != nil {
-			return err
-		}
-	}
 	s.store.Put(p)
 	return nil
 }
 
 // OnPoA ingests a standalone PoA broadcast (flushed when a lane goes
-// idle) or a PoA learned from a consensus cut. The data need not be
-// present locally — certified tips are usable for cuts without it.
+// idle). The data need not be present locally — certified tips are
+// usable for cuts without it.
 func (s *State) OnPoA(poa *types.PoA) error {
 	if !s.cfg.Committee.Valid(poa.Lane) {
 		return fmt.Errorf("lane: PoA for unknown lane %s", poa.Lane)
-	}
-	if s.cfg.VerifyProposals {
-		if err := crypto.VerifyPoA(s.cfg.Verifier, s.cfg.Committee, poa); err != nil {
-			return err
-		}
 	}
 	if poa.Lane == s.cfg.Self {
 		if poa.Position > s.ownCert.Position {

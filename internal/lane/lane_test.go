@@ -8,6 +8,8 @@ import (
 	"repro/internal/types"
 )
 
+// newStates builds n lane states signing with real ed25519 keys (seed 5)
+// when verify is set, else with the no-op suite.
 func newStates(t *testing.T, n int, verify bool) []*State {
 	t.Helper()
 	committee := types.NewCommittee(n)
@@ -20,14 +22,22 @@ func newStates(t *testing.T, n int, verify bool) []*State {
 	out := make([]*State, n)
 	for i := range out {
 		out[i] = NewState(Config{
-			Committee:       committee,
-			Self:            types.NodeID(i),
-			Signer:          suite.Signer(types.NodeID(i)),
-			Verifier:        suite.Verifier(),
-			VerifyProposals: verify,
+			Committee: committee,
+			Self:      types.NodeID(i),
+			Signer:    suite.Signer(types.NodeID(i)),
 		})
 	}
 	return out
+}
+
+// ingest delivers a proposal the way a runtime does: through the
+// PreVerifier (ed25519, the newStates(verify) keys), then OnProposal.
+func ingest(s *State, p *types.Proposal) ([]*types.Vote, error) {
+	pv := &PreVerifier{Committee: s.cfg.Committee, Verifier: crypto.NewEd25519Suite(s.cfg.Committee.Size(), 5).Verifier()}
+	if err := pv.PreVerify(p.Lane, p); err != nil {
+		return nil, err
+	}
+	return s.OnProposal(p)
 }
 
 func batch(origin types.NodeID, seq uint64) *types.Batch {
@@ -92,30 +102,13 @@ func TestSequentialCarsBlockWithoutPoA(t *testing.T) {
 	if p := states[0].AddBatch(batch(0, 1)); p == nil {
 		t.Fatal("first car must start")
 	}
-	// No votes yet: the next batch must queue, not propose (PipelineCars=1).
+	// No votes yet: the next batch must queue, not propose (one car in
+	// flight).
 	if p := states[0].AddBatch(batch(0, 2)); p != nil {
 		t.Fatal("second car started before the first certified")
 	}
 	if states[0].PendingBatches() != 1 {
 		t.Fatalf("pending = %d", states[0].PendingBatches())
-	}
-}
-
-func TestPipelinedCars(t *testing.T) {
-	committee := types.NewCommittee(4)
-	suite := crypto.NewNopSuite(4)
-	s := NewState(Config{
-		Committee: committee, Self: 0,
-		Signer: suite.Signer(0), Verifier: suite.Verifier(),
-		PipelineCars: 3,
-	})
-	for seq := uint64(1); seq <= 3; seq++ {
-		if p := s.AddBatch(batch(0, seq)); p == nil {
-			t.Fatalf("pipelined car %d must start", seq)
-		}
-	}
-	if p := s.AddBatch(batch(0, 4)); p != nil {
-		t.Fatal("fourth car exceeds the pipeline bound")
 	}
 }
 
@@ -169,9 +162,9 @@ func TestEquivocationStoredNotVoted(t *testing.T) {
 	suite := crypto.NewNopSuite(4)
 
 	// A Byzantine r0 builds two different proposals for position 1.
-	byz := NewState(Config{Committee: committee, Self: 0, Signer: suite.Signer(0), Verifier: suite.Verifier()})
+	byz := NewState(Config{Committee: committee, Self: 0, Signer: suite.Signer(0)})
 	pA := byz.AddBatch(batch(0, 1))
-	byz2 := NewState(Config{Committee: committee, Self: 0, Signer: suite.Signer(0), Verifier: suite.Verifier()})
+	byz2 := NewState(Config{Committee: committee, Self: 0, Signer: suite.Signer(0)})
 	pB := byz2.AddBatch(batch(0, 99))
 	if pA.Digest() == pB.Digest() {
 		t.Fatal("fork digests must differ")
@@ -232,42 +225,58 @@ func TestOnCommittedAdoptsFrontier(t *testing.T) {
 func TestOwnCommitRetiresOutstanding(t *testing.T) {
 	committee := types.NewCommittee(4)
 	suite := crypto.NewNopSuite(4)
-	s := NewState(Config{
-		Committee: committee, Self: 0,
-		Signer: suite.Signer(0), Verifier: suite.Verifier(),
-		PipelineCars: 2,
-	})
-	// Two outstanding cars whose votes will never arrive, plus a queued
-	// batch blocked behind the full pipeline.
-	p1 := s.AddBatch(batch(0, 1))
-	p2 := s.AddBatch(batch(0, 2))
-	if p1 == nil || p2 == nil {
-		t.Fatal("pipeline must accept two cars")
+	cfg := Config{Committee: committee, Self: 0, Signer: suite.Signer(0)}
+	vote := func(p *types.Proposal) *types.Vote {
+		v := &types.Vote{Lane: 0, Position: p.Position, Digest: p.Digest(), Voter: 1}
+		v.Sig = suite.Signer(1).Sign(v.SigningBytes())
+		return v
 	}
-	if p := s.AddBatch(batch(0, 3)); p != nil {
-		t.Fatal("third car exceeds the pipeline bound")
+	// Before the crash cars 1 and 2 certified and car 3 did not. PoAs are
+	// not journaled, so all three come back outstanding.
+	pre := NewState(cfg)
+	var cars []*types.Proposal
+	for seq := uint64(1); seq <= 3; seq++ {
+		p := pre.AddBatch(batch(0, seq))
+		if p == nil {
+			t.Fatalf("car %d blocked before the crash", seq)
+		}
+		cars = append(cars, p)
+		if seq < 3 {
+			if _, _, err := pre.OnVote(vote(p)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	s := NewState(cfg)
+	s.Restore(cars, 0, nil)
+	if p := s.AddBatch(batch(0, 4)); p != nil {
+		t.Fatal("a new car started behind three restored outstanding cars")
 	}
 
 	// The lane commits through position 1 without a local PoA: car 1
-	// retires and the queued batch takes its pipeline slot immediately.
-	props := s.OnCommitted(0, 1, p1.Digest())
-	if len(props) != 1 || props[0].Position != 3 {
-		t.Fatalf("commit did not refill the pipeline: %+v", props)
+	// retires; cars 2 and 3 still hold the lane.
+	if props := s.OnCommitted(0, 1, cars[0].Digest()); len(props) != 0 {
+		t.Fatalf("commit started a car with two still outstanding: %+v", props)
 	}
 	if oo := s.OldestOutstanding(); oo == nil || oo.Position != 2 {
 		t.Fatalf("outstanding head = %+v, want position 2", oo)
 	}
 
-	// The surviving car still certifies normally (peer vote state at or
+	// A surviving car still certifies normally (peer vote state at or
 	// above the committed frontier is retained, so retransmission works).
-	v := &types.Vote{Lane: 0, Position: 2, Digest: p2.Digest(), Voter: 1}
-	v.Sig = suite.Signer(1).Sign(v.SigningBytes())
-	_, poa, err := s.OnVote(v)
+	_, poa, err := s.OnVote(vote(cars[1]))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if poa == nil || poa.Position != 2 {
 		t.Fatalf("car 2 did not certify after the retirement: %+v", poa)
+	}
+
+	// Committing the last restored car empties the window: the queued
+	// batch starts at once.
+	props := s.OnCommitted(0, 3, cars[2].Digest())
+	if len(props) != 1 || props[0].Position != 4 {
+		t.Fatalf("commit did not resume production: %+v", props)
 	}
 }
 
@@ -307,7 +316,7 @@ func TestRejectsInvalidProposals(t *testing.T) {
 
 	tampered := good.Clone()
 	tampered.Sig = make([]byte, 64)
-	if _, err := states[1].OnProposal(tampered); err == nil {
+	if _, err := ingest(states[1], tampered); err == nil {
 		t.Fatal("bad signature accepted")
 	}
 	wrongCount := good.Clone()
@@ -316,13 +325,13 @@ func TestRejectsInvalidProposals(t *testing.T) {
 	badBatch.Count = 5
 	badBatch.Bytes = 1
 	wrongCount.Batch = badBatch
-	if _, err := states[1].OnProposal(wrongCount); err == nil {
+	if _, err := ingest(states[1], wrongCount); err == nil {
 		t.Fatal("inconsistent batch accepted")
 	}
-	if _, err := states[1].OnProposal(&types.Proposal{Lane: 9, Position: 1, Batch: batch(9, 1)}); err == nil {
+	if _, err := ingest(states[1], &types.Proposal{Lane: 9, Position: 1, Batch: batch(9, 1)}); err == nil {
 		t.Fatal("unknown lane accepted")
 	}
-	if _, err := states[0].OnProposal(good); err == nil {
+	if _, err := ingest(states[0], good); err == nil {
 		t.Fatal("own proposal loopback accepted")
 	}
 }

@@ -7,12 +7,10 @@ import (
 	"repro/internal/types"
 )
 
-// This file holds the data layer's stateless signature checks, split out
-// of the stateful State handlers so they can run on the transport's
-// parallel pre-verification stage (runtime.PreVerifier). Both paths call
-// the same Collect*/Verify* helpers: the pipeline runs them off the event
-// loop through a shared crypto.VerifyCache, and the state machine's
-// inline re-check then resolves to a constant-time memo lookup.
+// This file holds the data layer's signature checks — all of them. Every
+// runtime runs them on a peer's message before State sees it
+// (runtime.PreVerifier); the State handlers check no signature
+// themselves.
 
 // PreVerifier checks data-layer message signatures without touching lane
 // state. Safe for concurrent use when Verifier is (its fields are
@@ -27,13 +25,31 @@ type PreVerifier struct {
 func (pv *PreVerifier) PreVerify(_ types.NodeID, m types.Message) error {
 	switch msg := m.(type) {
 	case *types.Proposal:
-		return VerifyProposalSigs(pv.Committee, pv.Verifier, msg)
+		// The proposer's signature is checked directly and the parent PoA
+		// as a memoized whole certificate: it rides again in cuts and in
+		// the standalone broadcast.
+		if err := checkProposal(pv.Committee, msg); err != nil {
+			return err
+		}
+		if !pv.Verifier.Verify(msg.Lane, msg.SigningBytes(), msg.Sig) {
+			return fmt.Errorf("lane: bad proposal signature from %s", msg.Lane)
+		}
+		if msg.ParentPoA != nil {
+			return crypto.VerifyPoA(pv.Verifier, pv.Committee, msg.ParentPoA)
+		}
+		return nil
 	case *types.Vote:
-		return VerifyVoteSig(pv.Committee, pv.Verifier, msg)
+		if !pv.Committee.Valid(msg.Voter) {
+			return fmt.Errorf("lane: vote from unknown replica %s", msg.Voter)
+		}
+		if !pv.Verifier.Verify(msg.Voter, msg.SigningBytes(), msg.Sig) {
+			return fmt.Errorf("lane: bad vote signature from %s", msg.Voter)
+		}
+		return nil
 	case *types.PoA:
 		// The standalone-PoA broadcast takes the memoized whole-cert
-		// path: the state machine's inline re-check (lane.OnPoA,
-		// ValidateCut) then resolves to one cert-memo lookup.
+		// path: the same PoA arrives again in the cuts that carry the
+		// lane's tip, where it is one cert-memo lookup.
 		return crypto.VerifyPoA(pv.Verifier, pv.Committee, msg)
 	}
 	return nil
@@ -43,55 +59,24 @@ func (pv *PreVerifier) PreVerify(_ types.NodeID, m types.Message) error {
 // proposer's signature plus, when a parent PoA rides along, its f+1
 // shares — after validating the PoA's structure. Stateless.
 func CollectProposalSigs(committee types.Committee, bv *crypto.BatchVerifier, p *types.Proposal) error {
-	if !committee.Valid(p.Lane) {
-		return fmt.Errorf("lane: proposal for unknown lane %s", p.Lane)
+	if err := checkProposal(committee, p); err != nil {
+		return err
 	}
 	bv.Add(p.Lane, p.SigningBytes(), p.Sig)
 	if p.ParentPoA != nil {
-		if p.Position <= 1 || p.ParentPoA.Lane != p.Lane || p.ParentPoA.Position != p.Position-1 || p.ParentPoA.Digest != p.Parent {
-			return fmt.Errorf("lane: parent PoA does not certify parent")
-		}
-		if err := bv.AddPoA(committee, p.ParentPoA); err != nil {
-			return err
-		}
+		return bv.AddPoA(committee, p.ParentPoA)
 	}
 	return nil
 }
 
-// VerifyProposalSigs is the inline form used by the state machine and
-// the single-proposal pre-verification path: the proposer's signature is
-// checked directly (one share-memo hit on re-check) and the parent PoA
-// as a memoized whole certificate.
-func VerifyProposalSigs(committee types.Committee, v crypto.Verifier, p *types.Proposal) error {
+// checkProposal is the structure a proposal's signatures rest on: a
+// committee lane, and a parent PoA (if any) that certifies the parent.
+func checkProposal(committee types.Committee, p *types.Proposal) error {
 	if !committee.Valid(p.Lane) {
 		return fmt.Errorf("lane: proposal for unknown lane %s", p.Lane)
 	}
-	if !v.Verify(p.Lane, p.SigningBytes(), p.Sig) {
-		return fmt.Errorf("lane: bad proposal signature from %s", p.Lane)
-	}
-	if p.ParentPoA != nil {
-		if p.Position <= 1 || p.ParentPoA.Lane != p.Lane || p.ParentPoA.Position != p.Position-1 || p.ParentPoA.Digest != p.Parent {
-			return fmt.Errorf("lane: parent PoA does not certify parent")
-		}
-		return crypto.VerifyPoA(v, committee, p.ParentPoA)
+	if p.ParentPoA != nil && (p.Position <= 1 || p.ParentPoA.Lane != p.Lane || p.ParentPoA.Position != p.Position-1 || p.ParentPoA.Digest != p.Parent) {
+		return fmt.Errorf("lane: parent PoA does not certify parent")
 	}
 	return nil
-}
-
-// CollectVoteSig queues a lane vote's signature check. Stateless.
-func CollectVoteSig(committee types.Committee, bv *crypto.BatchVerifier, v *types.Vote) error {
-	if !committee.Valid(v.Voter) {
-		return fmt.Errorf("lane: vote from unknown replica %s", v.Voter)
-	}
-	bv.Add(v.Voter, v.SigningBytes(), v.Sig)
-	return nil
-}
-
-// VerifyVoteSig is the inline form of CollectVoteSig.
-func VerifyVoteSig(committee types.Committee, ver crypto.Verifier, v *types.Vote) error {
-	bv := crypto.NewBatchVerifier(ver)
-	if err := CollectVoteSig(committee, bv, v); err != nil {
-		return err
-	}
-	return bv.Verify()
 }

@@ -34,8 +34,8 @@ func journaledPair(t *testing.T) (owner *State, voter *State, j *recJournal, sui
 	committee := types.NewCommittee(4)
 	suite = crypto.NewNopSuite(4)
 	j = &recJournal{}
-	owner = NewState(Config{Committee: committee, Self: 0, Signer: suite.Signer(0), Verifier: suite.Verifier(), Journal: j})
-	voter = NewState(Config{Committee: committee, Self: 1, Signer: suite.Signer(1), Verifier: suite.Verifier(), Journal: j})
+	owner = NewState(Config{Committee: committee, Self: 0, Signer: suite.Signer(0), Journal: j})
+	voter = NewState(Config{Committee: committee, Self: 1, Signer: suite.Signer(1), Journal: j})
 	return
 }
 
@@ -63,7 +63,7 @@ func TestRestoreNeverContradictsVotes(t *testing.T) {
 
 	// Crash the voter; rebuild from its journal.
 	committee := types.NewCommittee(4)
-	voter2 := NewState(Config{Committee: committee, Self: 1, Signer: suite.Signer(1), Verifier: suite.Verifier()})
+	voter2 := NewState(Config{Committee: committee, Self: 1, Signer: suite.Signer(1)})
 	voter2.Restore(nil, 0, j.voteMap())
 
 	if got := voter2.VotedPos(0); got != 2 {
@@ -100,7 +100,7 @@ func TestRestoreOwnLaneNeverEquivocates(t *testing.T) {
 	p2 := owner.AddBatch(batch(0, 2)) // uncertified
 
 	committee := types.NewCommittee(4)
-	owner2 := NewState(Config{Committee: committee, Self: 0, Signer: suite.Signer(0), Verifier: suite.Verifier()})
+	owner2 := NewState(Config{Committee: committee, Self: 0, Signer: suite.Signer(0)})
 	owner2.Restore(j.own, 1, nil) // position 1 committed pre-crash
 
 	// Production resumes at position 3, chained to the pre-crash tip —

@@ -66,38 +66,38 @@ type Protocol interface {
 
 // Flusher is optionally implemented by protocols that defer externally
 // visible effects (outbound sends gated behind a durability barrier —
-// see core.Config.GroupCommit). Real-time runtimes (internal/transport)
-// call Flush after Init and after each burst of consecutively processed
-// events; the protocol performs its group barrier (e.g. one journal sync
-// for every record the burst appended) and then releases the gated sends
-// through ctx. Protocols that gate sends MUST only run under runtimes
-// that call Flush; the discrete-event simulator does not, and simulated
-// deployments leave gating off.
+// see core.Config.GroupCommit). Every runtime calls Flush after Init and
+// after each burst of processed events: the real-time loop
+// (internal/transport) after up to maxBurst consecutive events, the
+// discrete-event simulator after every delivered message, fired timer
+// and client batch. The protocol performs its group barrier (e.g. one
+// journal sync for every record the burst appended) and then releases
+// the gated sends through ctx.
 type Flusher interface {
 	Flush(ctx Context)
 }
 
 // PreVerifier is optionally implemented by protocols whose inbound
 // messages carry signatures that can be checked without protocol state.
-// Runtimes that deliver messages from the network (internal/transport)
-// detect the interface and run PreVerify on a parallel worker stage
-// between frame decode and the event loop, so signature arithmetic comes
-// off the single-threaded critical path; messages failing PreVerify are
-// dropped before delivery.
+// Every runtime runs it on each message from a peer before OnMessage,
+// and drops the message when it fails: internal/transport on a parallel
+// worker stage between frame decode and the event loop, so signature
+// arithmetic comes off the single-threaded critical path; the
+// discrete-event simulator inline at delivery. Self-addressed messages
+// skip it (a replica does not verify its own signatures).
+//
+// PreVerify is the only signature check: the state machine behind it
+// trusts that every signature, share and certificate on a delivered
+// message is valid, and keeps only the checks that need protocol state
+// or are not cryptographic (sender identity, committee membership,
+// digest/slot/view matches, structural validity).
 //
 // Implementations must be stateless with respect to the protocol's
 // event-driven state and safe for concurrent use: PreVerify runs on
-// multiple goroutines concurrently with the event loop. The intended
-// trust hand-off is a shared crypto.VerifyCache — PreVerify populates
-// the memo, and the state machine's inline checks become constant-time
-// lookups instead of repeated curve arithmetic. Paths that never call
-// PreVerify (the discrete-event simulator charges crypto through its
-// network model instead) miss the memo and fall back to full inline
-// verification, so correctness never depends on the pipeline stage.
-//
-// PreVerify must return a non-nil error only for cryptographically
-// invalid input; state-dependent judgments (duplicates, stale views,
-// unknown parents) belong to OnMessage.
+// multiple goroutines concurrently with the event loop. PreVerify must
+// return a non-nil error only for cryptographically invalid input;
+// state-dependent judgments (duplicates, stale views, unknown parents)
+// belong to OnMessage.
 type PreVerifier interface {
 	PreVerify(from types.NodeID, m types.Message) error
 }

@@ -7,7 +7,9 @@
 //
 // This package substitutes for the paper's 4-region GCP testbed
 // (DESIGN.md §1, substitution 1). Protocol code is identical to what the
-// real TCP runtime executes.
+// real TCP runtime executes, and so is the contract around it: a peer's
+// message passes the protocol's runtime.PreVerifier before delivery, and
+// a runtime.Flusher's barrier runs after every event.
 package sim
 
 import (
@@ -120,10 +122,10 @@ func (e *Engine) AddNode(p runtime.Protocol) types.NodeID {
 	n := &simNode{
 		engine: e,
 		id:     id,
-		proto:  p,
 		timers: make(map[runtime.TimerTag]uint64),
 		rng:    rand.New(rand.NewPCG(e.cfg.Seed^uint64(id+1), 0xda942042e4dd58b5^uint64(id))),
 	}
+	n.setProto(p)
 	e.nodes = append(e.nodes, n)
 	return id
 }
@@ -177,8 +179,9 @@ func (e *Engine) restartNode(id types.NodeID, amnesia bool) {
 	}
 	n := e.nodes[id]
 	n.timers = make(map[runtime.TimerTag]uint64)
-	n.proto = e.rebuild(id, amnesia)
+	n.setProto(e.rebuild(id, amnesia))
 	n.proto.Init(n)
+	n.flush()
 }
 
 // Run executes events until virtual time `until` (exclusive) or until the
@@ -189,6 +192,7 @@ func (e *Engine) Run(until time.Duration) uint64 {
 		if !n.inited {
 			n.inited = true
 			n.proto.Init(n)
+			n.flush()
 		}
 	}
 	// Schedule Restart faults once nodes exist. Fault-free schedules push
@@ -231,8 +235,15 @@ func (e *Engine) dispatch(ev *event) {
 			e.dropped++
 			return
 		}
+		// The ingress stage of every runtime: a peer's message whose
+		// signatures do not verify never reaches the protocol.
+		if n.pv != nil && ev.from != ev.node && n.pv.PreVerify(ev.from, ev.msg) != nil {
+			e.dropped++
+			return
+		}
 		e.delivered++
 		n.proto.OnMessage(n, ev.from, ev.msg)
+		n.flush()
 	case evTimer:
 		n := e.nodes[ev.node]
 		// Stale timer epochs (cancelled or replaced) are ignored.
@@ -250,6 +261,7 @@ func (e *Engine) dispatch(ev *event) {
 		}
 		delete(n.timers, ev.tag)
 		n.proto.OnTimer(n, ev.tag)
+		n.flush()
 	}
 }
 
@@ -267,9 +279,11 @@ func (e *Engine) SubmitBatch(id types.NodeID, b *types.Batch) {
 		return
 	}
 	n.proto.OnClientBatch(n, b)
+	n.flush()
 }
 
-// Stats returns (delivered, dropped) message counts.
+// Stats returns (delivered, dropped) message counts; dropped includes
+// messages that failed pre-verification.
 func (e *Engine) Stats() (delivered, dropped uint64) { return e.delivered, e.dropped }
 
 // NodeDown reports whether id is crashed at the current virtual time
@@ -295,6 +309,8 @@ type simNode struct {
 	engine *Engine
 	id     types.NodeID
 	proto  runtime.Protocol
+	pv     runtime.PreVerifier // proto's ingress check, if it has one
+	fl     runtime.Flusher     // proto's event barrier, if it has one
 	inited bool
 	timers map[runtime.TimerTag]uint64 // tag -> live epoch
 	tseq   uint64
@@ -302,6 +318,22 @@ type simNode struct {
 }
 
 var _ runtime.Context = (*simNode)(nil)
+
+// setProto installs a protocol instance with the optional hooks it
+// implements.
+func (n *simNode) setProto(p runtime.Protocol) {
+	n.proto = p
+	n.pv, _ = p.(runtime.PreVerifier)
+	n.fl, _ = p.(runtime.Flusher)
+}
+
+// flush runs the protocol's barrier after an event, releasing whatever
+// sends it gated (runtime.Flusher).
+func (n *simNode) flush() {
+	if n.fl != nil {
+		n.fl.Flush(n)
+	}
+}
 
 func (n *simNode) ID() types.NodeID   { return n.id }
 func (n *simNode) Now() time.Duration { return n.engine.now }
