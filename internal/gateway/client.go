@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	mrand "math/rand/v2"
@@ -130,8 +131,10 @@ type ClientCounters struct {
 type Client struct {
 	o ClientOptions
 
-	mu      sync.Mutex
-	conn    net.Conn
+	mu sync.Mutex
+	// w is the live connection's writer (nil while reconnecting): every
+	// submission frame is appended to it and leaves in its next burst.
+	w       *frameWriter
 	pending map[uint64]*Pending
 	nextSeq uint64
 	rng     *mrand.Rand
@@ -148,11 +151,6 @@ type Client struct {
 	suppressUntil time.Time
 	busyStreak    int
 	lastBusy      time.Time
-
-	// wmu serializes frame writes: submissions go out from the caller's
-	// goroutine, backoff/ack timers, and the reconnect resubmit loop —
-	// interleaved writes would corrupt the length-framed stream.
-	wmu sync.Mutex
 }
 
 // NewClient builds a client and establishes its first connection.
@@ -166,14 +164,15 @@ func NewClient(o ClientOptions) (*Client, error) {
 		nextSeq: 1,
 		rng:     mrand.New(mrand.NewPCG(o.Seed, 0x6761746577617921)),
 	}
-	conn, err := c.dialOnce()
+	conn, br, err := c.dialOnce()
 	if err != nil {
 		return nil, err
 	}
+	w := newFrameWriter(conn, 0)
 	c.mu.Lock()
-	c.conn = conn
+	c.w = w
 	c.mu.Unlock()
-	go c.readLoop(conn)
+	go c.readLoop(w, br)
 	return c, nil
 }
 
@@ -187,26 +186,29 @@ func Dial(addr string, o ClientOptions) (*Client, error) {
 	return NewClient(o)
 }
 
-// dialOnce opens a connection and completes the handshake.
-func (c *Client) dialOnce() (net.Conn, error) {
+// dialOnce opens a connection and completes the handshake. The
+// returned reader buffers the connection's inbound side and carries on
+// into its readLoop.
+func (c *Client) dialOnce() (net.Conn, *bufio.Reader, error) {
 	conn, err := c.o.Dial()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if _, err := conn.Write(appendHello(nil, c.o.ID)); err != nil {
 		conn.Close()
-		return nil, err
+		return nil, nil, err
 	}
-	typ, body, err := readFrame(conn, 1<<16, nil)
+	br := bufio.NewReader(conn)
+	typ, body, err := readFrame(br, 1<<16, nil)
 	if err != nil || typ != frameHelloOK {
 		conn.Close()
-		return nil, fmt.Errorf("gateway: handshake refused (%v)", err)
+		return nil, nil, fmt.Errorf("gateway: handshake refused (%v)", err)
 	}
 	if _, _, err := parseHelloOK(body); err != nil {
 		conn.Close()
-		return nil, err
+		return nil, nil, err
 	}
-	return conn, nil
+	return conn, br, nil
 }
 
 // Counters snapshots the client's activity counters.
@@ -237,7 +239,8 @@ var ErrClosed = errors.New("gateway: client closed")
 // ErrWindowFull.
 var ErrSuppressed = errors.New("gateway: suppressed by server Busy retry hint")
 
-// Submit sends one transaction and returns its in-flight handle. The
+// Submit queues one transaction for the connection's next write and
+// returns its in-flight handle; it never waits on the socket. The
 // submission resolves exactly once — commit ack, exhausted rejection,
 // or abort — through Pending.Wait and ClientOptions.OnOutcome.
 func (c *Client) Submit(payload []byte) (*Pending, error) {
@@ -259,10 +262,10 @@ func (c *Client) Submit(payload []byte) (*Pending, error) {
 	c.nextSeq++
 	p := &Pending{seq: seq, payload: payload, start: time.Now(), done: make(chan Outcome, 1)}
 	c.pending[seq] = p
-	conn := c.conn
+	w := c.w
 	c.mu.Unlock()
 
-	c.sendSubmit(conn, p)
+	c.sendSubmit(w, p)
 	c.armTimer(p, c.o.AckTimeout)
 	return p, nil
 }
@@ -276,9 +279,11 @@ func (c *Client) SubmitWait(payload []byte) (Outcome, error) {
 	return p.Wait(), nil
 }
 
-// sendSubmit writes one submission frame; a write failure starts the
-// reconnect path (which resubmits everything pending).
-func (c *Client) sendSubmit(conn net.Conn, p *Pending) {
+// sendSubmit queues one submission frame on the connection's writer. A
+// frame the writer refuses, or loses to a write error, belongs to a
+// dying connection: its reader takes the reconnect path, which
+// resubmits everything pending.
+func (c *Client) sendSubmit(w *frameWriter, p *Pending) {
 	p.mu.Lock()
 	if p.resolved {
 		p.mu.Unlock()
@@ -286,16 +291,10 @@ func (c *Client) sendSubmit(conn net.Conn, p *Pending) {
 	}
 	p.attempts++
 	p.mu.Unlock()
-	if conn == nil {
+	if w == nil {
 		return // reconnecting; the redial resubmits all pending
 	}
-	buf := appendSubmit(nil, p.seq, c.o.Priority, p.payload)
-	c.wmu.Lock()
-	_, err := conn.Write(buf)
-	c.wmu.Unlock()
-	if err != nil {
-		c.reconnect(conn)
-	}
+	w.push(func(b []byte) []byte { return appendSubmit(b, p.seq, c.o.Priority, p.payload) })
 }
 
 // armTimer (re)arms a pending submission's timer: after d, resubmit on
@@ -321,10 +320,10 @@ func (c *Client) ackTimeout(p *Pending) {
 		c.mu.Unlock()
 		return
 	}
-	conn := c.conn
+	w := c.w
 	c.ctrs.Resubmits++
 	c.mu.Unlock()
-	c.sendSubmit(conn, p)
+	c.sendSubmit(w, p)
 	c.armTimer(p, c.o.AckTimeout)
 }
 
@@ -344,14 +343,14 @@ func (c *Client) backoff(attempts int, serverHintMs uint32) time.Duration {
 	return d/2 + time.Duration(jitter*float64(d))
 }
 
-// readLoop consumes acks from one connection until it dies, then hands
-// off to the reconnect path.
-func (c *Client) readLoop(conn net.Conn) {
+// readLoop consumes acks from one connection, through its buffered
+// reader, until it dies, then hands off to the reconnect path.
+func (c *Client) readLoop(w *frameWriter, br *bufio.Reader) {
 	scratch := make([]byte, 64)
 	for {
-		typ, body, err := readFrame(conn, 1<<16, scratch)
+		typ, body, err := readFrame(br, 1<<16, scratch)
 		if err != nil {
-			c.reconnect(conn)
+			c.reconnect(w)
 			return
 		}
 		if typ != frameAck {
@@ -359,7 +358,7 @@ func (c *Client) readLoop(conn net.Conn) {
 		}
 		seq, status, retryMs, err := parseAck(body)
 		if err != nil {
-			c.reconnect(conn)
+			c.reconnect(w)
 			return
 		}
 		c.onAck(seq, status, retryMs)
@@ -438,11 +437,11 @@ func (c *Client) onAck(seq uint64, status byte, retryMs uint32) {
 			}
 			p.timer = time.AfterFunc(delay, func() {
 				c.mu.Lock()
-				conn := c.conn
+				w := c.w
 				closed := c.closed
 				c.mu.Unlock()
 				if !closed {
-					c.sendSubmit(conn, p)
+					c.sendSubmit(w, p)
 					c.armTimer(p, c.o.AckTimeout)
 				}
 			})
@@ -491,18 +490,16 @@ func (c *Client) resolve(p *Pending, status byte, committed bool) {
 // reconnect tears down a dead connection and, once per generation,
 // redials with jittered backoff, replays the handshake, and resubmits
 // everything pending — the crash/partition recovery path.
-func (c *Client) reconnect(dead net.Conn) {
+func (c *Client) reconnect(dead *frameWriter) {
+	dead.close()
 	c.mu.Lock()
-	if c.closed || c.conn != dead || c.dialing {
+	if c.closed || c.w != dead || c.dialing {
 		c.mu.Unlock()
 		return
 	}
 	c.dialing = true
-	c.conn = nil
+	c.w = nil
 	c.mu.Unlock()
-	if dead != nil {
-		dead.Close()
-	}
 
 	go func() {
 		for attempt := 1; ; attempt++ {
@@ -512,13 +509,19 @@ func (c *Client) reconnect(dead net.Conn) {
 			if closed {
 				return
 			}
-			conn, err := c.dialOnce()
+			conn, br, err := c.dialOnce()
 			if err != nil {
 				time.Sleep(c.backoff(attempt, 0))
 				continue
 			}
 			c.mu.Lock()
-			c.conn = conn
+			if c.closed {
+				c.mu.Unlock()
+				conn.Close() // Close ran while this dial was out
+				return
+			}
+			w := newFrameWriter(conn, 0)
+			c.w = w
 			c.dialing = false
 			c.ctrs.Reconnects++
 			resubmit := make([]*Pending, 0, len(c.pending))
@@ -526,11 +529,11 @@ func (c *Client) reconnect(dead net.Conn) {
 				resubmit = append(resubmit, p)
 			}
 			c.mu.Unlock()
-			go c.readLoop(conn)
+			go c.readLoop(w, br)
 			// Resubmit everything in flight: whatever the old connection
 			// lost is replayed, and the server's window dedups the rest.
 			for _, p := range resubmit {
-				c.sendSubmit(conn, p)
+				c.sendSubmit(w, p)
 				c.armTimer(p, c.o.AckTimeout)
 			}
 			return
@@ -546,15 +549,15 @@ func (c *Client) Close() {
 		return
 	}
 	c.closed = true
-	conn := c.conn
-	c.conn = nil
+	w := c.w
+	c.w = nil
 	var toAbort []*Pending
 	for _, p := range c.pending {
 		toAbort = append(toAbort, p)
 	}
 	c.mu.Unlock()
-	if conn != nil {
-		conn.Close()
+	if w != nil {
+		w.close()
 	}
 	for _, p := range toAbort {
 		c.resolve(p, StatusAborted, false)

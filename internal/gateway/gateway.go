@@ -29,6 +29,7 @@
 package gateway
 
 import (
+	"bufio"
 	"errors"
 	"log"
 	"net"
@@ -72,10 +73,15 @@ const (
 	dedupWindow = 4096
 	// maxClients bounds distinct client IDs.
 	maxClients = 1 << 17
-	// handshakeTimeout bounds how long an accepted connection may sit
-	// without completing its Hello.
-	handshakeTimeout = 10 * time.Second
+	// readBuffer sizes each connection's read buffer: one read syscall
+	// takes in up to this much of a client's burst.
+	readBuffer = 16 << 10
 )
+
+// handshakeTimeout bounds how long an accepted connection may sit
+// without completing its Hello (a variable only so that a test can
+// shorten it).
+var handshakeTimeout = 10 * time.Second
 
 // Options configures a gateway server. The zero value gets defaults.
 type Options struct {
@@ -97,9 +103,10 @@ type Options struct {
 	// neither replica gauge samples (sealed batches in the event-loop
 	// shard channels), and only the outstanding count keeps growing.
 	MaxOutstanding int
-	// AckQueue is the per-connection ack write queue; a slower client
-	// loses acks beyond it (recovered by its own resubmission) instead
-	// of stalling the dispatcher (default 1024).
+	// AckQueue bounds, in frames, the acks queued on one connection
+	// while its writer is busy with the previous burst; a slower client
+	// loses acks beyond it (recovered by its own resubmission, counted
+	// in AckDrops) instead of stalling the dispatcher (default 1024).
 	AckQueue int
 	// Logger, when set, receives connection-level diagnostics.
 	Logger *log.Logger
@@ -172,7 +179,7 @@ type clientState struct {
 
 	mu   sync.Mutex
 	win  *window
-	conn *connWriter
+	conn *frameWriter
 }
 
 // NewServer builds a gateway over a backend and starts its commit
@@ -343,53 +350,6 @@ func (s *Server) logf(format string, args ...any) {
 
 // --- connection handling ---
 
-// connWriter serializes ack writes to one connection on a dedicated
-// goroutine with a bounded queue: the commit dispatcher must never
-// block on a slow client's socket.
-type connWriter struct {
-	conn net.Conn
-	q    chan []byte
-	done chan struct{} // closed by close(); q itself is never closed
-	once sync.Once
-}
-
-func newConnWriter(conn net.Conn, depth int) *connWriter {
-	cw := &connWriter{conn: conn, q: make(chan []byte, depth), done: make(chan struct{})}
-	go func() {
-		for {
-			select {
-			case <-cw.done:
-				return
-			case buf := <-cw.q:
-				if _, err := conn.Write(buf); err != nil {
-					conn.Close() // reader notices and tears the session down
-					return       // senders fall through to drop, never block
-				}
-			}
-		}
-	}()
-	return cw
-}
-
-// send enqueues an encoded frame; false when the queue is full or the
-// writer is gone (the caller counts the ack as dropped — the client's
-// resubmission recovers it).
-func (cw *connWriter) send(buf []byte) bool {
-	select {
-	case <-cw.done:
-		return false
-	default:
-	}
-	select {
-	case cw.q <- buf:
-		return true
-	default:
-		return false
-	}
-}
-
-func (cw *connWriter) close() { cw.once.Do(func() { close(cw.done) }) }
-
 var errHostile = errors.New("gateway: protocol violation")
 
 // ServeConn runs one client connection to completion: handshake, then
@@ -410,8 +370,11 @@ func (s *Server) ServeConn(conn net.Conn) {
 	}()
 
 	// Handshake, bounded: a connection that won't say Hello is hostile.
+	// Every frame is read through one buffer, so a burst of Submits costs
+	// one read syscall; the deadline is on the conn beneath it.
 	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
-	typ, body, err := readFrame(conn, s.opts.MaxFrame, nil)
+	br := bufio.NewReaderSize(conn, readBuffer)
+	typ, body, err := readFrame(br, s.opts.MaxFrame, nil)
 	if err != nil || typ != frameHello {
 		s.ctrs.HostileDrops.Add(1)
 		return
@@ -430,13 +393,13 @@ func (s *Server) ServeConn(conn net.Conn) {
 	}
 	s.ctrs.Hellos.Add(1)
 
-	cw := newConnWriter(conn, s.opts.AckQueue)
+	cw := newFrameWriter(conn, s.opts.AckQueue)
 	defer cw.close()
+	cw.push(func(b []byte) []byte { return appendHelloOK(b, uint32(s.opts.Window), dedupWindow) })
 	cs.mu.Lock()
 	if old := cs.conn; old != nil && old != cw {
 		// The client reconnected (or a second process claims its ID):
 		// newest connection wins the ack route, the old one is torn down.
-		old.conn.Close()
 		old.close()
 	}
 	cs.conn = cw
@@ -448,11 +411,10 @@ func (s *Server) ServeConn(conn net.Conn) {
 		}
 		cs.mu.Unlock()
 	}()
-	cw.send(appendHelloOK(nil, uint32(s.opts.Window), dedupWindow))
 
 	scratch := make([]byte, 4096)
 	for {
-		typ, body, err := readFrame(conn, s.opts.MaxFrame, scratch)
+		typ, body, err := readFrame(br, s.opts.MaxFrame, scratch)
 		if err != nil {
 			// Only self-detected protocol violations count as hostile;
 			// EOFs, resets and closed pipes are ordinary disconnects.
@@ -498,7 +460,7 @@ func (s *Server) client(id uint64, create bool) *clientState {
 
 // handleSubmit runs one submission through the dedup window and
 // admission control, acking its verdict on the arriving connection.
-func (s *Server) handleSubmit(cs *clientState, cw *connWriter, seq uint64, prio uint8, payload []byte) {
+func (s *Server) handleSubmit(cs *clientState, cw *frameWriter, seq uint64, prio uint8, payload []byte) {
 	if prio > PriorityHigh {
 		prio = PriorityHigh
 	}
@@ -569,8 +531,10 @@ func (s *Server) admitClass(b Backend, prio uint8) (bool, uint32) {
 	return false, s.hintMs.Load()
 }
 
-func (s *Server) ack(cw *connWriter, seq uint64, status byte, retryMs uint32) {
-	if cw == nil || !cw.send(appendAck(nil, seq, status, retryMs)) {
+// ack queues one Ack frame on the client's connection, appended in place
+// to its writer's burst; an ack the queue cannot take is dropped.
+func (s *Server) ack(cw *frameWriter, seq uint64, status byte, retryMs uint32) {
+	if cw == nil || !cw.push(func(b []byte) []byte { return appendAck(b, seq, status, retryMs) }) {
 		s.ctrs.AckDrops.Add(1)
 	}
 }

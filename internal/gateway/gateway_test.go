@@ -1,9 +1,12 @@
 package gateway
 
 import (
+	"bufio"
 	"bytes"
 	"net"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -253,10 +256,16 @@ func TestPrioritySheddingOrder(t *testing.T) {
 // TestDedupAcrossReconnect is the window's reason to exist: a client
 // that loses its connection after admission resubmits on reconnect, the
 // duplicate is absorbed (never re-admitted), and the commit acks once.
+//
+// It then forces twenty more reconnects with submissions pending: each
+// connection's writer and reader leave with it (the goroutine count
+// returns to its baseline, and to the server's own after Close), and
+// every pending submission still commits exactly once.
 func TestDedupAcrossReconnect(t *testing.T) {
 	be := &fakeBackend{}
 	srv := NewServer(be, Options{})
 	defer srv.Stop()
+	baseline := runtime.NumGoroutine() // server only, no connection yet
 	cl, err := NewClient(ClientOptions{
 		ID: 5, Dial: pipeDial(srv),
 		AckTimeout: 50 * time.Millisecond, // aggressive resubmission
@@ -302,13 +311,47 @@ func TestDedupAcrossReconnect(t *testing.T) {
 	if got := len(be.admitted()); got != 0 {
 		t.Fatalf("replay reached the backend (%d)", got)
 	}
+
+	// One live connection costs four goroutines: the client's reader and
+	// writer, the server's ServeConn and its writer. Counts only fall as
+	// earlier tests' goroutines finish, so each check is an upper bound.
+	live := baseline + 4
+	waitCond(t, "one connection's goroutines", func() bool { return runtime.NumGoroutine() <= live })
+	reconnects := cl.Counters().Reconnects
+	var ps []*Pending
+	for i := uint64(1); i <= 20; i++ {
+		p, err := cl.Submit([]byte{'r', byte(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps = append(ps, p)
+		srv.DropConns()
+		waitCond(t, "forced reconnect", func() bool { return cl.Counters().Reconnects >= reconnects+i })
+	}
+	waitCond(t, "goroutines back to one connection's", func() bool { return runtime.NumGoroutine() <= live })
+	waitCond(t, "every pending admission", func() bool { return len(be.admitted()) == len(ps) })
+	be.commit(srv)
+	for _, p := range ps {
+		if out := p.Wait(); !out.Committed {
+			t.Fatalf("seq %d outcome = %+v", p.Seq(), out)
+		}
+	}
+	if st := srv.Stats(); st.ChainDups != 0 || st.Admitted != uint64(1+len(ps)) {
+		t.Fatalf("after %d reconnects: %d chain dups, %d admitted, want 0 and %d",
+			len(ps), st.ChainDups, st.Admitted, 1+len(ps))
+	}
+	cl.Close()
+	waitCond(t, "no connection goroutine after Close", func() bool { return runtime.NumGoroutine() <= baseline })
 }
 
 // connForTest exposes the live conn to tests in this package.
 func (c *Client) connForTest() net.Conn {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.conn
+	if c.w == nil {
+		return nil
+	}
+	return c.w.conn
 }
 
 // TestDedupUnderResubmitRace hammers the reconnect + resubmit machinery
@@ -473,6 +516,11 @@ func TestOutstandingGauge(t *testing.T) {
 		cl.Submit([]byte("over"))
 		return srv.Stats().RejectedBusy >= 1
 	})
+	// Submit only queues its frame, so "over" frames may still be on the
+	// wire: one admitted after the commit below would hold the gauge up.
+	// Every "over" resolves (Busy is terminal at MaxAttempts 1) before
+	// the commit runs.
+	waitCond(t, "every over-submission resolved", func() bool { return cl.InFlight() == 3 })
 
 	// Commits retire the gauge and admission reopens.
 	be.commit(srv)
@@ -561,4 +609,173 @@ func TestBusySuppression(t *testing.T) {
 	if streak != 1 {
 		t.Fatalf("busyStreak = %d after quiet gap, want 1 (fresh episode)", streak)
 	}
+}
+
+// blockingConn is a conn whose every Write blocks until released, and
+// which records each Write's bytes.
+type blockingConn struct {
+	net.Conn // only Write and Close are used
+	entered  chan struct{}
+	release  chan struct{}
+
+	mu     sync.Mutex
+	writes [][]byte
+}
+
+func newBlockingConn() *blockingConn {
+	// entered is buffered so that announcing a Write never blocks the
+	// writer on a test that has stopped listening; no test makes 16.
+	return &blockingConn{entered: make(chan struct{}, 16), release: make(chan struct{})}
+}
+
+func (c *blockingConn) Write(b []byte) (int, error) {
+	c.entered <- struct{}{}
+	<-c.release
+	c.mu.Lock()
+	c.writes = append(c.writes, append([]byte(nil), b...))
+	c.mu.Unlock()
+	return len(b), nil
+}
+
+func (c *blockingConn) Close() error { return nil }
+
+func (c *blockingConn) written() [][]byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([][]byte(nil), c.writes...)
+}
+
+// TestFrameWriterCoalesces pins the ack path's write side: the acks
+// queued while one Write is in progress leave together in the next
+// single Write, the queue takes no more than AckQueue frames (the rest
+// are dropped and counted in AckDrops), and queuing an ack allocates
+// nothing.
+func TestFrameWriterCoalesces(t *testing.T) {
+	srv := NewServer(&fakeBackend{}, Options{AckQueue: 4})
+	defer srv.Stop()
+	conn := newBlockingConn()
+	cw := newFrameWriter(conn, srv.opts.AckQueue)
+	defer close(conn.release)
+	defer cw.close()
+
+	srv.ack(cw, 1, StatusCommitted, 0)
+	<-conn.entered // the writer is inside its first Write
+	for seq := uint64(2); seq <= 6; seq++ {
+		srv.ack(cw, seq, StatusCommitted, 0)
+	}
+	if got := srv.Stats().AckDrops; got != 1 {
+		t.Fatalf("AckDrops = %d, want 1 (seq 6 is past the 4-frame queue)", got)
+	}
+	conn.release <- struct{}{}
+	<-conn.entered // the second Write holds everything queued meanwhile
+	conn.release <- struct{}{}
+	waitCond(t, "two writes", func() bool { return len(conn.written()) == 2 })
+
+	var want1, want2 []byte
+	want1 = appendAck(want1, 1, StatusCommitted, 0)
+	for seq := uint64(2); seq <= 5; seq++ {
+		want2 = appendAck(want2, seq, StatusCommitted, 0)
+	}
+	if w := conn.written(); !bytes.Equal(w[0], want1) || !bytes.Equal(w[1], want2) {
+		t.Fatalf("writes = %x, want [%x %x]", w, want1, want2)
+	}
+
+	// Appending an ack to a burst allocates nothing (the buffer's own
+	// amortized growth aside, which AllocsPerRun averages away).
+	conn2 := newBlockingConn()
+	cw2 := newFrameWriter(conn2, 0)
+	defer close(conn2.release)
+	defer cw2.close()
+	seq := uint64(0)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		seq++
+		srv.ack(cw2, seq, StatusCommitted, 0)
+	}); allocs != 0 {
+		t.Fatalf("ack allocates %.1f times per frame", allocs)
+	}
+}
+
+// countingConn counts the Read calls made on a conn.
+type countingConn struct {
+	net.Conn
+	reads atomic.Int64
+}
+
+func (c *countingConn) Read(b []byte) (int, error) {
+	c.reads.Add(1)
+	return c.Conn.Read(b)
+}
+
+// TestServerReadsBursts pins the server's read side: a burst of frames
+// is taken in with a handful of reads, not two per frame, and a frame
+// split across many tiny writes is still parsed exactly once.
+func TestServerReadsBursts(t *testing.T) {
+	t.Run("100 submits in one write", func(t *testing.T) {
+		be := &fakeBackend{}
+		srv := NewServer(be, Options{Window: 128})
+		defer srv.Stop()
+		a, b := net.Pipe()
+		defer a.Close()
+		sc := &countingConn{Conn: b}
+		go srv.ServeConn(sc)
+		a.Write(appendHello(nil, 40))
+		readAck(t, a) // HelloOK
+
+		var burst []byte
+		for seq := uint64(1); seq <= 100; seq++ {
+			burst = appendSubmit(burst, seq, PriorityNormal, []byte{byte(seq)})
+		}
+		if _, err := a.Write(burst); err != nil {
+			t.Fatal(err)
+		}
+		waitCond(t, "100 admissions", func() bool { return len(be.admitted()) == 100 })
+		// Hello, the burst and the read left waiting for more: at two
+		// reads per frame the burst alone would take 200.
+		if got := sc.reads.Load(); got > 8 {
+			t.Fatalf("server made %d reads for a Hello and one 100-frame burst", got)
+		}
+
+		be.commit(srv)
+		a.SetReadDeadline(time.Now().Add(5 * time.Second))
+		br := bufio.NewReader(a)
+		seen := make(map[uint64]bool)
+		for i := 0; i < 100; i++ {
+			typ, body, err := readFrame(br, 1<<16, nil)
+			if err != nil || typ != frameAck {
+				t.Fatalf("ack %d: type %d, err %v", i, typ, err)
+			}
+			seq, status, _, _ := parseAck(body)
+			if status != StatusCommitted || seen[seq] || seq < 1 || seq > 100 {
+				t.Fatalf("ack %d: seq %d status %d (seen before: %v)", i, seq, status, seen[seq])
+			}
+			seen[seq] = true
+		}
+		if st := srv.Stats(); st.Admitted != 100 || st.Acked != 100 || st.HostileDrops != 0 {
+			t.Fatalf("stats = %+v", st)
+		}
+	})
+
+	t.Run("hello and submit one byte per write", func(t *testing.T) {
+		be := &fakeBackend{}
+		srv := NewServer(be, Options{})
+		defer srv.Stop()
+		a := rawConn(srv)
+		defer a.Close()
+		stream := appendSubmit(appendHello(nil, 41), 1, PriorityNormal, []byte("drip"))
+		go func() {
+			for i := range stream {
+				if _, err := a.Write(stream[i : i+1]); err != nil {
+					return
+				}
+			}
+		}()
+		readAck(t, a) // HelloOK
+		waitCond(t, "admission", func() bool { return len(be.admitted()) == 1 })
+		if _, seq, _ := ParseTx(be.admitted()[0]); seq != 1 {
+			t.Fatalf("admitted seq %d, want 1", seq)
+		}
+		if st := srv.Stats(); st.Hellos != 1 || st.Admitted != 1 || st.HostileDrops != 0 {
+			t.Fatalf("stats = %+v", st)
+		}
+	})
 }

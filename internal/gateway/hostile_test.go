@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"io"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -52,9 +53,29 @@ func TestHostileClients(t *testing.T) {
 	t.Run("oversized frame", func(t *testing.T) {
 		c := rawConn(srv)
 		defer c.Close()
+		// The claim is refused from the header alone, before the
+		// buffered reader or the frame allocates anything near it.
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		hdr := binary.LittleEndian.AppendUint32(nil, 1<<30) // 1 GB claim
 		c.Write(append(hdr, frameHello))
 		expectDropped(t, c)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Fatalf("allocated %d bytes while refusing a 1 GB claim", grew)
+		}
+	})
+
+	t.Run("silent connection", func(t *testing.T) {
+		defer func(d time.Duration) { handshakeTimeout = d }(handshakeTimeout)
+		handshakeTimeout = 200 * time.Millisecond
+		start := time.Now()
+		c := rawConn(srv)
+		defer c.Close()
+		expectDropped(t, c)
+		if waited := time.Since(start); waited < handshakeTimeout {
+			t.Fatalf("dropped after %v, before the %v handshake deadline", waited, handshakeTimeout)
+		}
 	})
 
 	t.Run("submit before hello", func(t *testing.T) {
@@ -85,8 +106,8 @@ func TestHostileClients(t *testing.T) {
 	if got := len(be.admitted()); got != 0 {
 		t.Fatalf("hostile input reached the backend: %d admissions", got)
 	}
-	if st := srv.Stats(); st.HostileDrops < 5 {
-		t.Fatalf("HostileDrops = %d, want >= 5", st.HostileDrops)
+	if st := srv.Stats(); st.HostileDrops < 6 {
+		t.Fatalf("HostileDrops = %d, want >= 6", st.HostileDrops)
 	}
 
 	// Window overflow is abuse of a *valid* session: typed rejections,

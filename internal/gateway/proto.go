@@ -10,6 +10,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"net"
+	"sync"
 )
 
 // Frame types. A client sends Hello then Submits; the server answers
@@ -52,17 +54,22 @@ const submitOverhead = 9
 // frameHeader is the frame prefix: payload length (4) + type (1).
 const frameHeader = 5
 
-// writeFrame appends a frame to buf: [len u32][type u8][body].
+// appendHeader appends the prefix of a frame whose body is n bytes.
+func appendHeader(buf []byte, typ byte, n int) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
+	return append(buf, typ)
+}
+
+// appendFrame appends a frame to buf: [len u32][type u8][body].
 func appendFrame(buf []byte, typ byte, body []byte) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(body)))
-	buf = append(buf, typ)
-	return append(buf, body...)
+	return append(appendHeader(buf, typ, len(body)), body...)
 }
 
 // readFrame reads one frame, enforcing the size cap before allocating.
 // Returns the frame type and body, or an error that must drop the
 // connection (hostile or broken peer — there is no resynchronization in
-// a length-framed stream).
+// a length-framed stream). Both ends pass a buffered reader, so a burst
+// of frames costs one read syscall, not two per frame.
 func readFrame(r io.Reader, maxFrame int, scratch []byte) (byte, []byte, error) {
 	var hdr [frameHeader]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -83,13 +90,95 @@ func readFrame(r io.Reader, maxFrame int, scratch []byte) (byte, []byte, error) 
 	return hdr[4], body, nil
 }
 
+// frameWriter moves one connection's outbound frames in bursts:
+// producers append frames to a shared buffer, and the connection's
+// writer goroutine swaps that buffer out and issues one Write for
+// everything queued since its previous Write. No producer ever blocks
+// on the socket, and a burst of N frames costs one syscall, not N. A
+// write error closes the conn, so the connection's reader fails next
+// and takes its side's teardown path.
+type frameWriter struct {
+	conn  net.Conn
+	limit int // frames queued at once before push refuses; 0 is unbounded
+
+	mu     sync.Mutex
+	buf    []byte
+	frames int
+	closed bool
+
+	// wake has capacity 1: one pending wake-up covers every frame queued
+	// before the writer takes it.
+	wake chan struct{}
+	done chan struct{}
+	once sync.Once
+}
+
+// newFrameWriter starts conn's writer goroutine; it exits on close or on
+// the first write error.
+func newFrameWriter(conn net.Conn, limit int) *frameWriter {
+	w := &frameWriter{conn: conn, limit: limit, wake: make(chan struct{}, 1), done: make(chan struct{})}
+	go w.run()
+	return w
+}
+
+// push appends the frame that build appends to its argument. False when
+// the writer is closed or already holds limit frames: the frame is
+// dropped.
+func (w *frameWriter) push(build func([]byte) []byte) bool {
+	w.mu.Lock()
+	if w.closed || (w.limit > 0 && w.frames >= w.limit) {
+		w.mu.Unlock()
+		return false
+	}
+	w.buf = build(w.buf)
+	w.frames++
+	w.mu.Unlock()
+	select {
+	case w.wake <- struct{}{}:
+	default:
+	}
+	return true
+}
+
+func (w *frameWriter) run() {
+	var out []byte
+	for {
+		select {
+		case <-w.done:
+			return
+		case <-w.wake:
+		}
+		w.mu.Lock()
+		out, w.buf = w.buf, out[:0]
+		w.frames = 0
+		w.mu.Unlock()
+		if len(out) == 0 {
+			continue
+		}
+		if _, err := w.conn.Write(out); err != nil {
+			w.close()
+			return
+		}
+	}
+}
+
+// close stops the writer, drops whatever is queued and closes the conn.
+func (w *frameWriter) close() {
+	w.once.Do(func() {
+		w.mu.Lock()
+		w.closed = true
+		w.mu.Unlock()
+		close(w.done)
+		w.conn.Close()
+	})
+}
+
 // Hello body: magic (4) + version (1) + clientID (8).
 func appendHello(buf []byte, clientID uint64) []byte {
-	body := make([]byte, 0, 13)
-	body = binary.LittleEndian.AppendUint32(body, helloMagic)
-	body = append(body, protoVersion)
-	body = binary.LittleEndian.AppendUint64(body, clientID)
-	return appendFrame(buf, frameHello, body)
+	buf = appendHeader(buf, frameHello, 13)
+	buf = binary.LittleEndian.AppendUint32(buf, helloMagic)
+	buf = append(buf, protoVersion)
+	return binary.LittleEndian.AppendUint64(buf, clientID)
 }
 
 func parseHello(body []byte) (clientID uint64, err error) {
@@ -108,10 +197,9 @@ func parseHello(body []byte) (clientID uint64, err error) {
 // HelloOK body: window (4) + dedup window (4) — the server's per-client
 // limits, so a client can size its own in-flight bookkeeping.
 func appendHelloOK(buf []byte, window, dedup uint32) []byte {
-	body := make([]byte, 0, 8)
-	body = binary.LittleEndian.AppendUint32(body, window)
-	body = binary.LittleEndian.AppendUint32(body, dedup)
-	return appendFrame(buf, frameHelloOK, body)
+	buf = appendHeader(buf, frameHelloOK, 8)
+	buf = binary.LittleEndian.AppendUint32(buf, window)
+	return binary.LittleEndian.AppendUint32(buf, dedup)
 }
 
 func parseHelloOK(body []byte) (window, dedup uint32, err error) {
@@ -123,8 +211,7 @@ func parseHelloOK(body []byte) (window, dedup uint32, err error) {
 
 // Submit body: seq (8) + priority (1) + payload.
 func appendSubmit(buf []byte, seq uint64, prio uint8, payload []byte) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(submitOverhead+len(payload)))
-	buf = append(buf, frameSubmit)
+	buf = appendHeader(buf, frameSubmit, submitOverhead+len(payload))
 	buf = binary.LittleEndian.AppendUint64(buf, seq)
 	buf = append(buf, prio)
 	return append(buf, payload...)
@@ -139,11 +226,10 @@ func parseSubmit(body []byte) (seq uint64, prio uint8, payload []byte, err error
 
 // Ack body: seq (8) + status (1) + retryAfter ms (4).
 func appendAck(buf []byte, seq uint64, status byte, retryAfterMs uint32) []byte {
-	body := make([]byte, 0, 13)
-	body = binary.LittleEndian.AppendUint64(body, seq)
-	body = append(body, status)
-	body = binary.LittleEndian.AppendUint32(body, retryAfterMs)
-	return appendFrame(buf, frameAck, body)
+	buf = appendHeader(buf, frameAck, 13)
+	buf = binary.LittleEndian.AppendUint64(buf, seq)
+	buf = append(buf, status)
+	return binary.LittleEndian.AppendUint32(buf, retryAfterMs)
 }
 
 func parseAck(body []byte) (seq uint64, status byte, retryAfterMs uint32, err error) {
