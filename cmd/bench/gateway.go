@@ -227,8 +227,10 @@ func runGateway(quick bool, seed uint64) {
 		}(cl)
 	}
 	pwg.Wait()
-	probeDrained := drain()
+	// Count the commits when the load stops: what commits while the
+	// backlog drains afterwards was admitted, not sustained, in the window.
 	capacity := float64(probeCell.committedTotal()) / probeDur.Seconds()
+	probeDrained := drain()
 	fmt.Printf("capacity probe: %.0f tx/s committed (%d closed-loop clients, %v)\n", capacity, probeN, probeDur)
 	record("clients", float64(clients))
 	record("capacity_tps", capacity)

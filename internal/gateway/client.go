@@ -8,6 +8,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"repro/internal/stream"
 )
 
 // ClientOptions configures a gateway client.
@@ -134,7 +136,7 @@ type Client struct {
 	mu sync.Mutex
 	// w is the live connection's writer (nil while reconnecting): every
 	// submission frame is appended to it and leaves in its next burst.
-	w       *frameWriter
+	w       *stream.Writer
 	pending map[uint64]*Pending
 	nextSeq uint64
 	rng     *mrand.Rand
@@ -168,7 +170,7 @@ func NewClient(o ClientOptions) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := newFrameWriter(conn, 0)
+	w := startWriter(conn, 0)
 	c.mu.Lock()
 	c.w = w
 	c.mu.Unlock()
@@ -199,12 +201,12 @@ func (c *Client) dialOnce() (net.Conn, *bufio.Reader, error) {
 		return nil, nil, err
 	}
 	br := bufio.NewReader(conn)
-	typ, body, err := readFrame(br, 1<<16, nil)
-	if err != nil || typ != frameHelloOK {
+	f, err := stream.ReadFrame(br, 1<<16, scratchAlloc(16))
+	if err != nil || f[0] != frameHelloOK {
 		conn.Close()
 		return nil, nil, fmt.Errorf("gateway: handshake refused (%v)", err)
 	}
-	if _, _, err := parseHelloOK(body); err != nil {
+	if _, _, err := parseHelloOK(f[1:]); err != nil {
 		conn.Close()
 		return nil, nil, err
 	}
@@ -283,7 +285,7 @@ func (c *Client) SubmitWait(payload []byte) (Outcome, error) {
 // frame the writer refuses, or loses to a write error, belongs to a
 // dying connection: its reader takes the reconnect path, which
 // resubmits everything pending.
-func (c *Client) sendSubmit(w *frameWriter, p *Pending) {
+func (c *Client) sendSubmit(w *stream.Writer, p *Pending) {
 	p.mu.Lock()
 	if p.resolved {
 		p.mu.Unlock()
@@ -294,7 +296,7 @@ func (c *Client) sendSubmit(w *frameWriter, p *Pending) {
 	if w == nil {
 		return // reconnecting; the redial resubmits all pending
 	}
-	w.push(func(b []byte) []byte { return appendSubmit(b, p.seq, c.o.Priority, p.payload) })
+	w.Append(func(b []byte) []byte { return appendSubmit(b, p.seq, c.o.Priority, p.payload) })
 }
 
 // armTimer (re)arms a pending submission's timer: after d, resubmit on
@@ -345,18 +347,18 @@ func (c *Client) backoff(attempts int, serverHintMs uint32) time.Duration {
 
 // readLoop consumes acks from one connection, through its buffered
 // reader, until it dies, then hands off to the reconnect path.
-func (c *Client) readLoop(w *frameWriter, br *bufio.Reader) {
-	scratch := make([]byte, 64)
+func (c *Client) readLoop(w *stream.Writer, br *bufio.Reader) {
+	alloc := scratchAlloc(64)
 	for {
-		typ, body, err := readFrame(br, 1<<16, scratch)
+		f, err := stream.ReadFrame(br, 1<<16, alloc)
 		if err != nil {
 			c.reconnect(w)
 			return
 		}
-		if typ != frameAck {
+		if f[0] != frameAck {
 			continue // tolerate future frame types from newer servers
 		}
-		seq, status, retryMs, err := parseAck(body)
+		seq, status, retryMs, err := parseAck(f[1:])
 		if err != nil {
 			c.reconnect(w)
 			return
@@ -490,8 +492,8 @@ func (c *Client) resolve(p *Pending, status byte, committed bool) {
 // reconnect tears down a dead connection and, once per generation,
 // redials with jittered backoff, replays the handshake, and resubmits
 // everything pending — the crash/partition recovery path.
-func (c *Client) reconnect(dead *frameWriter) {
-	dead.close()
+func (c *Client) reconnect(dead *stream.Writer) {
+	dead.Close()
 	c.mu.Lock()
 	if c.closed || c.w != dead || c.dialing {
 		c.mu.Unlock()
@@ -520,7 +522,7 @@ func (c *Client) reconnect(dead *frameWriter) {
 				conn.Close() // Close ran while this dial was out
 				return
 			}
-			w := newFrameWriter(conn, 0)
+			w := startWriter(conn, 0)
 			c.w = w
 			c.dialing = false
 			c.ctrs.Reconnects++
@@ -557,7 +559,7 @@ func (c *Client) Close() {
 	}
 	c.mu.Unlock()
 	if w != nil {
-		w.close()
+		w.Close()
 	}
 	for _, p := range toAbort {
 		c.resolve(p, StatusAborted, false)

@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/stream"
 	"repro/internal/types"
 )
 
@@ -179,7 +180,7 @@ type clientState struct {
 
 	mu   sync.Mutex
 	win  *window
-	conn *frameWriter
+	conn *stream.Writer
 }
 
 // NewServer builds a gateway over a backend and starts its commit
@@ -350,8 +351,6 @@ func (s *Server) logf(format string, args ...any) {
 
 // --- connection handling ---
 
-var errHostile = errors.New("gateway: protocol violation")
-
 // ServeConn runs one client connection to completion: handshake, then
 // submissions. Any protocol violation — oversized frame, garbage bytes,
 // unknown frame type, submissions before Hello — drops the connection;
@@ -374,12 +373,13 @@ func (s *Server) ServeConn(conn net.Conn) {
 	// one read syscall; the deadline is on the conn beneath it.
 	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
 	br := bufio.NewReaderSize(conn, readBuffer)
-	typ, body, err := readFrame(br, s.opts.MaxFrame, nil)
-	if err != nil || typ != frameHello {
+	alloc := scratchAlloc(4096)
+	f, err := stream.ReadFrame(br, s.opts.MaxFrame, alloc)
+	if err != nil || f[0] != frameHello {
 		s.ctrs.HostileDrops.Add(1)
 		return
 	}
-	clientID, err := parseHello(body)
+	clientID, err := parseHello(f[1:])
 	if err != nil {
 		s.ctrs.HostileDrops.Add(1)
 		return
@@ -393,14 +393,14 @@ func (s *Server) ServeConn(conn net.Conn) {
 	}
 	s.ctrs.Hellos.Add(1)
 
-	cw := newFrameWriter(conn, s.opts.AckQueue)
-	defer cw.close()
-	cw.push(func(b []byte) []byte { return appendHelloOK(b, uint32(s.opts.Window), dedupWindow) })
+	cw := startWriter(conn, s.opts.AckQueue)
+	defer cw.Close()
+	cw.Append(func(b []byte) []byte { return appendHelloOK(b, uint32(s.opts.Window), dedupWindow) })
 	cs.mu.Lock()
 	if old := cs.conn; old != nil && old != cw {
 		// The client reconnected (or a second process claims its ID):
 		// newest connection wins the ack route, the old one is torn down.
-		old.close()
+		old.Close()
 	}
 	cs.conn = cw
 	cs.mu.Unlock()
@@ -412,22 +412,21 @@ func (s *Server) ServeConn(conn net.Conn) {
 		cs.mu.Unlock()
 	}()
 
-	scratch := make([]byte, 4096)
 	for {
-		typ, body, err := readFrame(br, s.opts.MaxFrame, scratch)
+		f, err := stream.ReadFrame(br, s.opts.MaxFrame, alloc)
 		if err != nil {
 			// Only self-detected protocol violations count as hostile;
 			// EOFs, resets and closed pipes are ordinary disconnects.
-			if errors.Is(err, errHostile) {
+			if errors.Is(err, stream.ErrFrameSize) {
 				s.ctrs.HostileDrops.Add(1)
 			}
 			return
 		}
-		if typ != frameSubmit {
+		if f[0] != frameSubmit {
 			s.ctrs.HostileDrops.Add(1)
 			return
 		}
-		seq, prio, payload, err := parseSubmit(body)
+		seq, prio, payload, err := parseSubmit(f[1:])
 		if err != nil || len(payload) == 0 {
 			s.ctrs.HostileDrops.Add(1)
 			return
@@ -460,7 +459,7 @@ func (s *Server) client(id uint64, create bool) *clientState {
 
 // handleSubmit runs one submission through the dedup window and
 // admission control, acking its verdict on the arriving connection.
-func (s *Server) handleSubmit(cs *clientState, cw *frameWriter, seq uint64, prio uint8, payload []byte) {
+func (s *Server) handleSubmit(cs *clientState, cw *stream.Writer, seq uint64, prio uint8, payload []byte) {
 	if prio > PriorityHigh {
 		prio = PriorityHigh
 	}
@@ -533,8 +532,8 @@ func (s *Server) admitClass(b Backend, prio uint8) (bool, uint32) {
 
 // ack queues one Ack frame on the client's connection, appended in place
 // to its writer's burst; an ack the queue cannot take is dropped.
-func (s *Server) ack(cw *frameWriter, seq uint64, status byte, retryMs uint32) {
-	if cw == nil || !cw.push(func(b []byte) []byte { return appendAck(b, seq, status, retryMs) }) {
+func (s *Server) ack(cw *stream.Writer, seq uint64, status byte, retryMs uint32) {
+	if cw == nil || !cw.Append(func(b []byte) []byte { return appendAck(b, seq, status, retryMs) }) {
 		s.ctrs.AckDrops.Add(1)
 	}
 }

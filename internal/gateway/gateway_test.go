@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/stream"
 	"repro/internal/types"
 )
 
@@ -300,12 +301,12 @@ func TestDedupAcrossReconnect(t *testing.T) {
 	// missed the ack) is acked from the window as idempotent success:
 	// Deduped rises, backend stays quiet.
 	before := srv.Stats().Deduped
-	conn := cl.connForTest()
-	if conn == nil {
+	w := cl.writerForTest()
+	if w == nil {
 		t.Fatal("client has no live connection")
 	}
-	if _, err := conn.Write(appendSubmit(nil, p.Seq(), PriorityNormal, []byte("once-only"))); err != nil {
-		t.Fatal(err)
+	if !w.Append(func(b []byte) []byte { return appendSubmit(b, p.Seq(), PriorityNormal, []byte("once-only")) }) {
+		t.Fatal("live connection's writer refused the replay")
 	}
 	waitCond(t, "replay absorption", func() bool { return srv.Stats().Deduped > before })
 	if got := len(be.admitted()); got != 0 {
@@ -344,14 +345,12 @@ func TestDedupAcrossReconnect(t *testing.T) {
 	waitCond(t, "no connection goroutine after Close", func() bool { return runtime.NumGoroutine() <= baseline })
 }
 
-// connForTest exposes the live conn to tests in this package.
-func (c *Client) connForTest() net.Conn {
+// writerForTest exposes the live connection's writer to tests in this
+// package.
+func (c *Client) writerForTest() *stream.Writer {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.w == nil {
-		return nil
-	}
-	return c.w.conn
+	return c.w
 }
 
 // TestDedupUnderResubmitRace hammers the reconnect + resubmit machinery
@@ -611,87 +610,19 @@ func TestBusySuppression(t *testing.T) {
 	}
 }
 
-// blockingConn is a conn whose every Write blocks until released, and
-// which records each Write's bytes.
-type blockingConn struct {
-	net.Conn // only Write and Close are used
-	entered  chan struct{}
-	release  chan struct{}
-
-	mu     sync.Mutex
-	writes [][]byte
-}
-
-func newBlockingConn() *blockingConn {
-	// entered is buffered so that announcing a Write never blocks the
-	// writer on a test that has stopped listening; no test makes 16.
-	return &blockingConn{entered: make(chan struct{}, 16), release: make(chan struct{})}
-}
-
-func (c *blockingConn) Write(b []byte) (int, error) {
-	c.entered <- struct{}{}
-	<-c.release
-	c.mu.Lock()
-	c.writes = append(c.writes, append([]byte(nil), b...))
-	c.mu.Unlock()
-	return len(b), nil
-}
-
-func (c *blockingConn) Close() error { return nil }
-
-func (c *blockingConn) written() [][]byte {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([][]byte(nil), c.writes...)
-}
-
-// TestFrameWriterCoalesces pins the ack path's write side: the acks
-// queued while one Write is in progress leave together in the next
-// single Write, the queue takes no more than AckQueue frames (the rest
-// are dropped and counted in AckDrops), and queuing an ack allocates
-// nothing.
-func TestFrameWriterCoalesces(t *testing.T) {
+// TestAckDropsPastAckQueue: a connection's writer takes at most
+// AckQueue frames at once, and an ack it refuses is dropped and counted
+// in AckDrops instead of stalling the dispatcher.
+func TestAckDropsPastAckQueue(t *testing.T) {
 	srv := NewServer(&fakeBackend{}, Options{AckQueue: 4})
 	defer srv.Stop()
-	conn := newBlockingConn()
-	cw := newFrameWriter(conn, srv.opts.AckQueue)
-	defer close(conn.release)
-	defer cw.close()
-
-	srv.ack(cw, 1, StatusCommitted, 0)
-	<-conn.entered // the writer is inside its first Write
-	for seq := uint64(2); seq <= 6; seq++ {
+	cw := stream.NewWriter(srv.opts.AckQueue, nil) // no Run: nothing drains it
+	defer cw.Close()
+	for seq := uint64(1); seq <= 6; seq++ {
 		srv.ack(cw, seq, StatusCommitted, 0)
 	}
-	if got := srv.Stats().AckDrops; got != 1 {
-		t.Fatalf("AckDrops = %d, want 1 (seq 6 is past the 4-frame queue)", got)
-	}
-	conn.release <- struct{}{}
-	<-conn.entered // the second Write holds everything queued meanwhile
-	conn.release <- struct{}{}
-	waitCond(t, "two writes", func() bool { return len(conn.written()) == 2 })
-
-	var want1, want2 []byte
-	want1 = appendAck(want1, 1, StatusCommitted, 0)
-	for seq := uint64(2); seq <= 5; seq++ {
-		want2 = appendAck(want2, seq, StatusCommitted, 0)
-	}
-	if w := conn.written(); !bytes.Equal(w[0], want1) || !bytes.Equal(w[1], want2) {
-		t.Fatalf("writes = %x, want [%x %x]", w, want1, want2)
-	}
-
-	// Appending an ack to a burst allocates nothing (the buffer's own
-	// amortized growth aside, which AllocsPerRun averages away).
-	conn2 := newBlockingConn()
-	cw2 := newFrameWriter(conn2, 0)
-	defer close(conn2.release)
-	defer cw2.close()
-	seq := uint64(0)
-	if allocs := testing.AllocsPerRun(1000, func() {
-		seq++
-		srv.ack(cw2, seq, StatusCommitted, 0)
-	}); allocs != 0 {
-		t.Fatalf("ack allocates %.1f times per frame", allocs)
+	if got := srv.Stats().AckDrops; got != 2 {
+		t.Fatalf("AckDrops = %d, want 2 (seqs 5 and 6 are past the 4-frame queue)", got)
 	}
 }
 
@@ -740,11 +671,11 @@ func TestServerReadsBursts(t *testing.T) {
 		br := bufio.NewReader(a)
 		seen := make(map[uint64]bool)
 		for i := 0; i < 100; i++ {
-			typ, body, err := readFrame(br, 1<<16, nil)
-			if err != nil || typ != frameAck {
-				t.Fatalf("ack %d: type %d, err %v", i, typ, err)
+			f, err := stream.ReadFrame(br, 1<<16, scratchAlloc(64))
+			if err != nil || f[0] != frameAck {
+				t.Fatalf("ack %d: frame %x, err %v", i, f, err)
 			}
-			seq, status, _, _ := parseAck(body)
+			seq, status, _, _ := parseAck(f[1:])
 			if status != StatusCommitted || seen[seq] || seq < 1 || seq > 100 {
 				t.Fatalf("ack %d: seq %d status %d (seen before: %v)", i, seq, status, seen[seq])
 			}

@@ -1,12 +1,15 @@
 package gateway
 
 import (
+	"bufio"
 	"encoding/binary"
 	"io"
 	"net"
 	"runtime"
 	"testing"
 	"time"
+
+	"repro/internal/stream"
 )
 
 // rawConn opens an un-handshaken pipe to the server.
@@ -103,6 +106,25 @@ func TestHostileClients(t *testing.T) {
 		expectDropped(t, c)
 	})
 
+	t.Run("version 1 hello", func(t *testing.T) {
+		// Version 1's length prefix counted only the body after the type
+		// byte, so the Hello reads as a 12-byte body: refused.
+		c := rawConn(srv)
+		defer c.Close()
+		before := srv.Stats()
+		hello := binary.LittleEndian.AppendUint32(nil, 13)
+		hello = append(hello, frameHello)
+		hello = binary.LittleEndian.AppendUint32(hello, helloMagic)
+		hello = append(hello, 1)
+		hello = binary.LittleEndian.AppendUint64(hello, 997)
+		c.Write(hello)
+		expectDropped(t, c)
+		waitCond(t, "hostile count", func() bool { return srv.Stats().HostileDrops == before.HostileDrops+1 })
+		if st := srv.Stats(); st.Hellos != before.Hellos {
+			t.Fatalf("a version 1 hello was accepted: %+v", st)
+		}
+	})
+
 	if got := len(be.admitted()); got != 0 {
 		t.Fatalf("hostile input reached the backend: %d admissions", got)
 	}
@@ -156,7 +178,7 @@ func TestHostileClients(t *testing.T) {
 func readAck(t *testing.T, c net.Conn) {
 	t.Helper()
 	c.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, _, err := readFrame(c, 1<<16, nil); err != nil {
+	if _, err := stream.ReadFrame(bufio.NewReader(c), 1<<16, scratchAlloc(64)); err != nil {
 		t.Fatalf("reading server frame: %v", err)
 	}
 	c.SetReadDeadline(time.Time{})

@@ -1,17 +1,18 @@
-// Wire protocol of the gateway tier: length-framed binary frames over a
-// byte stream. Deliberately independent of internal/wire (the replica
-// mesh codec) — clients speak a four-frame vocabulary (Hello, HelloOK,
-// Submit, Ack) and nothing else, so the parser is small enough to audit
-// for hostile-input safety: every length is bounded before allocation,
+// Wire protocol of the gateway tier: internal/stream's length-framed
+// frames over a byte stream, the first byte of each its type.
+// Deliberately independent of internal/wire (the replica mesh codec) —
+// clients speak a four-frame vocabulary (Hello, HelloOK, Submit, Ack)
+// and nothing else, so the parser is small enough to audit for
+// hostile-input safety: every length is bounded before allocation,
 // every frame type outside the vocabulary drops the connection.
 package gateway
 
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"net"
-	"sync"
+
+	"repro/internal/stream"
 )
 
 // Frame types. A client sends Hello then Submits; the server answers
@@ -29,7 +30,9 @@ const helloMagic uint32 = 0x41424757 // "ABGW"
 
 // protoVersion is negotiated down never — a mismatch drops the
 // connection (forward compatibility is not a goal of this tier yet).
-const protoVersion = 1
+// Version 2: the length prefix counts the type byte too, as the
+// replica mesh's does.
+const protoVersion = 2
 
 // Ack status codes — the typed outcomes a submission can have.
 const (
@@ -51,13 +54,10 @@ const (
 // priority (1).
 const submitOverhead = 9
 
-// frameHeader is the frame prefix: payload length (4) + type (1).
-const frameHeader = 5
-
-// appendHeader appends the prefix of a frame whose body is n bytes.
+// appendHeader appends the prefix of a frame whose body is n bytes:
+// the length (type byte included), then the type.
 func appendHeader(buf []byte, typ byte, n int) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
-	return append(buf, typ)
+	return append(stream.AppendHeader(buf, 1+n), typ)
 }
 
 // appendFrame appends a frame to buf: [len u32][type u8][body].
@@ -65,112 +65,26 @@ func appendFrame(buf []byte, typ byte, body []byte) []byte {
 	return append(appendHeader(buf, typ, len(body)), body...)
 }
 
-// readFrame reads one frame, enforcing the size cap before allocating.
-// Returns the frame type and body, or an error that must drop the
-// connection (hostile or broken peer — there is no resynchronization in
-// a length-framed stream). Both ends pass a buffered reader, so a burst
-// of frames costs one read syscall, not two per frame.
-func readFrame(r io.Reader, maxFrame int, scratch []byte) (byte, []byte, error) {
-	var hdr [frameHeader]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
+// scratchAlloc returns a stream.ReadFrame alloc that reuses one buffer
+// of size bytes (a larger frame gets its own): a frame is parsed, and
+// whatever it carries copied out, before the next is read.
+func scratchAlloc(size int) func(n int) []byte {
+	scratch := make([]byte, size)
+	return func(n int) []byte {
+		if n > size {
+			return make([]byte, n)
+		}
+		return scratch[:n]
 	}
-	n := binary.LittleEndian.Uint32(hdr[:4])
-	if int(n) > maxFrame {
-		return 0, nil, fmt.Errorf("%w: frame of %d bytes exceeds cap %d", errHostile, n, maxFrame)
-	}
-	body := scratch
-	if cap(body) < int(n) {
-		body = make([]byte, n)
-	}
-	body = body[:n]
-	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, nil, err
-	}
-	return hdr[4], body, nil
 }
 
-// frameWriter moves one connection's outbound frames in bursts:
-// producers append frames to a shared buffer, and the connection's
-// writer goroutine swaps that buffer out and issues one Write for
-// everything queued since its previous Write. No producer ever blocks
-// on the socket, and a burst of N frames costs one syscall, not N. A
-// write error closes the conn, so the connection's reader fails next
-// and takes its side's teardown path.
-type frameWriter struct {
-	conn  net.Conn
-	limit int // frames queued at once before push refuses; 0 is unbounded
-
-	mu     sync.Mutex
-	buf    []byte
-	frames int
-	closed bool
-
-	// wake has capacity 1: one pending wake-up covers every frame queued
-	// before the writer takes it.
-	wake chan struct{}
-	done chan struct{}
-	once sync.Once
-}
-
-// newFrameWriter starts conn's writer goroutine; it exits on close or on
-// the first write error.
-func newFrameWriter(conn net.Conn, limit int) *frameWriter {
-	w := &frameWriter{conn: conn, limit: limit, wake: make(chan struct{}, 1), done: make(chan struct{})}
-	go w.run()
+// startWriter serves conn with a new burst writer holding at most limit
+// frames (0 is unbounded). A write error closes conn, so the
+// connection's reader fails next and takes its side's teardown path.
+func startWriter(conn net.Conn, limit int) *stream.Writer {
+	w := stream.NewWriter(limit, nil)
+	go w.Run(conn)
 	return w
-}
-
-// push appends the frame that build appends to its argument. False when
-// the writer is closed or already holds limit frames: the frame is
-// dropped.
-func (w *frameWriter) push(build func([]byte) []byte) bool {
-	w.mu.Lock()
-	if w.closed || (w.limit > 0 && w.frames >= w.limit) {
-		w.mu.Unlock()
-		return false
-	}
-	w.buf = build(w.buf)
-	w.frames++
-	w.mu.Unlock()
-	select {
-	case w.wake <- struct{}{}:
-	default:
-	}
-	return true
-}
-
-func (w *frameWriter) run() {
-	var out []byte
-	for {
-		select {
-		case <-w.done:
-			return
-		case <-w.wake:
-		}
-		w.mu.Lock()
-		out, w.buf = w.buf, out[:0]
-		w.frames = 0
-		w.mu.Unlock()
-		if len(out) == 0 {
-			continue
-		}
-		if _, err := w.conn.Write(out); err != nil {
-			w.close()
-			return
-		}
-	}
-}
-
-// close stops the writer, drops whatever is queued and closes the conn.
-func (w *frameWriter) close() {
-	w.once.Do(func() {
-		w.mu.Lock()
-		w.closed = true
-		w.mu.Unlock()
-		close(w.done)
-		w.conn.Close()
-	})
 }
 
 // Hello body: magic (4) + version (1) + clientID (8).

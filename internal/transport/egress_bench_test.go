@@ -8,8 +8,8 @@ import (
 )
 
 // BenchmarkEgressFrameEncode is the transport's per-message egress cost
-// up to the peer queues: pooled encode, length prefix, refcounted frame,
-// release. Steady state must be allocation-free (the legacy path paid
+// up to the peer writers: pooled encode, length prefix, release. Steady
+// state must be allocation-free (the legacy path paid
 // one encode buffer plus one frame copy per message — see
 // wire.BenchmarkEgressEncodeLegacy).
 func BenchmarkEgressFrameEncode(b *testing.B) {
@@ -17,18 +17,19 @@ func BenchmarkEgressFrameEncode(b *testing.B) {
 	v := &types.Vote{Lane: 1, Position: 9, Digest: types.Digest{5}, Voter: 2, Sig: make([]byte, 64)}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		f := m.encodeFrame(v)
-		if f == nil {
+		buf := m.encodeFrame(v)
+		if buf == nil {
 			b.Fatal("encode failed")
 		}
-		f.release()
+		buf.Release()
 	}
 }
 
 // BenchmarkEgressBroadcastFrame measures a 4-peer broadcast's egress
-// cost: one shared pooled frame, four queue handoffs (queues drained by
-// nothing — frames dropped and released once full, mimicking saturated
-// peers without paying loopback I/O in the benchmark).
+// cost: one pooled encode, a copy appended to each of three peer writers
+// (writers drained by nothing — frames refused once a queue is full,
+// mimicking saturated peers without paying loopback I/O in the
+// benchmark).
 func BenchmarkEgressBroadcastFrame(b *testing.B) {
 	addrs := map[types.NodeID]string{}
 	for i := 0; i < 4; i++ {
@@ -45,7 +46,7 @@ func BenchmarkEgressBroadcastFrame(b *testing.B) {
 }
 
 // BenchmarkEgressSendLoopback is the full egress→ingress path over real
-// TCP loopback: pooled encode, coalesced writev, frame decode, delivery.
+// TCP loopback: pooled encode, burst write, frame decode, delivery.
 func BenchmarkEgressSendLoopback(b *testing.B) {
 	ports := freePorts(b, 2)
 	addrs := map[types.NodeID]string{0: ports[0], 1: ports[1]}

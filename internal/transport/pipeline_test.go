@@ -7,10 +7,12 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/runtime"
+	"repro/internal/stream"
 	"repro/internal/types"
 	"repro/internal/wire"
 )
@@ -234,6 +236,68 @@ func TestTCPMeshDropsUndecodableFrame(t *testing.T) {
 	v, ok := c.msgs[0].(*types.Vote)
 	if !ok || v.Position != 7 || c.froms[0] != 1 {
 		t.Fatalf("delivered %T %+v from %s, want the vote from r1", c.msgs[0], c.msgs[0], c.froms[0])
+	}
+}
+
+// countingConn counts the Read calls made on a conn.
+type countingConn struct {
+	net.Conn
+	reads atomic.Int64
+}
+
+func (c *countingConn) Read(b []byte) (int, error) {
+	c.reads.Add(1)
+	return c.Conn.Read(b)
+}
+
+// TestReadLoopReadsBursts pins the mesh's read side: a hello and a
+// burst of frames written at once are taken in with a handful of reads,
+// not one for the hello and two per frame, and arrive in order.
+func TestReadLoopReadsBursts(t *testing.T) {
+	ports := freePorts(t, 2)
+	addrs := map[types.NodeID]string{0: ports[0], 1: ports[1]} // 1 never started
+	c := &collector{}
+	m := NewTCPMesh(0, addrs, c, time.Now(), nil)
+	if err := m.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer m.Stop()
+	a, b := net.Pipe()
+	defer a.Close()
+	rc := &countingConn{Conn: b}
+	go m.readLoop(rc)
+
+	const votes = 100
+	out := binary.LittleEndian.AppendUint16(nil, 1) // hello: peer 1, control plane
+	out = append(out, planeControl)
+	for i := 1; i <= votes; i++ {
+		vote, err := wire.Encode(&types.Vote{Lane: 1, Position: types.Pos(i), Voter: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(stream.AppendHeader(out, len(vote)), vote...)
+	}
+	if _, err := a.Write(out); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for c.count() < votes && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.msgs) != votes {
+		t.Fatalf("%d deliveries, want %d", len(c.msgs), votes)
+	}
+	for i, msg := range c.msgs {
+		if v, ok := msg.(*types.Vote); !ok || v.Position != types.Pos(i+1) || c.froms[i] != 1 {
+			t.Fatalf("delivery %d is %T %+v from %s, want vote %d from r1", i, msg, msg, c.froms[i], i+1)
+		}
+	}
+	// The burst and the read left waiting for more: at one read for the
+	// hello and two per frame it would take 201.
+	if got := rc.reads.Load(); got > 8 {
+		t.Fatalf("readLoop made %d reads for a hello and one %d-frame burst", got, votes)
 	}
 }
 

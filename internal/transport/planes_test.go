@@ -152,7 +152,7 @@ func TestEgressCoalescingCounters(t *testing.T) {
 	defer ma.Stop()
 
 	// Enqueue a burst before the peer exists: all frames pile up in the
-	// control queue and must go out in coalesced writev batches once the
+	// control queue and must go out in coalesced bursts once the
 	// peer appears.
 	const burst = 200
 	for i := 0; i < burst; i++ {

@@ -25,6 +25,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/stream"
 	"repro/internal/types"
 )
 
@@ -136,47 +137,6 @@ func (m *TCPMesh) healthForLocked(id types.NodeID) *peerHealth {
 	return h
 }
 
-// setConn registers the stream's active outbound connection so the
-// stall monitor (and Stop) can sever it from outside.
-func (st *stream) setConn(conn net.Conn) {
-	st.connMu.Lock()
-	st.conn = conn
-	st.connSince = time.Now()
-	st.connMu.Unlock()
-}
-
-// clearConn deregisters the connection (the writeLoop is about to close
-// it itself).
-func (st *stream) clearConn() {
-	st.connMu.Lock()
-	st.conn = nil
-	st.writeStart.Store(0)
-	st.connMu.Unlock()
-}
-
-// closeConn severs the registered connection without deregistering it:
-// the owning writeLoop observes the write/read failure and runs its own
-// clearConn. Safe to call with no connection registered.
-func (st *stream) closeConn() {
-	st.connMu.Lock()
-	conn := st.conn
-	st.connMu.Unlock()
-	if conn != nil {
-		conn.Close()
-	}
-}
-
-// connAge reports how long the registered outbound connection has been
-// up (false if none).
-func (st *stream) connAge(now time.Time) (time.Duration, bool) {
-	st.connMu.Lock()
-	defer st.connMu.Unlock()
-	if st.conn == nil {
-		return 0, false
-	}
-	return now.Sub(st.connSince), true
-}
-
 // stallMonitor periodically sweeps peers for stalls. Runs only when
 // SetStallTimeout armed it.
 func (m *TCPMesh) stallMonitor() {
@@ -204,9 +164,9 @@ func (m *TCPMesh) stallMonitor() {
 //     silence has lasted a full timeout (lastSend > lastRecv rules out
 //     idle-but-healthy peers: if we are not talking to it, its silence
 //     means nothing), or
-//   - an egress write has been blocked inside WriteTo for a full
-//     timeout — the wedged-reader signature, visible even when
-//     lastSend cannot advance because no flush completes.
+//   - an egress write has been blocked for a full timeout — the
+//     wedged-reader signature, visible even when lastSend cannot
+//     advance because no flush completes.
 //
 // The remedy severs the peer's outbound connections (failing any
 // blocked writer, sending the writeLoops to a backed-off redial) and
@@ -230,7 +190,7 @@ func (m *TCPMesh) checkStalls() {
 	type target struct {
 		id      types.NodeID
 		health  *peerHealth
-		streams []*stream
+		writers []*stream.Writer
 	}
 	var victims []target
 	for id, pc := range m.conns {
@@ -239,13 +199,13 @@ func (m *TCPMesh) checkStalls() {
 		lastSend := h.lastSend.Load()
 		stalled := false
 		aged := false
-		for _, st := range pc.streams {
-			age, ok := st.connAge(now)
+		for _, w := range pc.writers {
+			age, ok := w.ConnAge(now)
 			if !ok || age < timeout {
 				continue
 			}
 			aged = true
-			if ws := st.writeStart.Load(); ws != 0 && now.UnixNano()-ws > int64(timeout) {
+			if ws := w.WriteStart(); ws != 0 && now.UnixNano()-ws > int64(timeout) {
 				stalled = true // write wedged in the kernel buffer
 			}
 		}
@@ -255,7 +215,7 @@ func (m *TCPMesh) checkStalls() {
 			stalled = talking && silent
 		}
 		if stalled {
-			victims = append(victims, target{id: id, health: h, streams: pc.streams[:]})
+			victims = append(victims, target{id: id, health: h, writers: pc.writers[:]})
 		}
 	}
 	// Collect each victim's inbound connections while still locked.
@@ -272,8 +232,8 @@ func (m *TCPMesh) checkStalls() {
 		m.logger.Printf("transport: peer %s stalled (no progress in %v): tearing down connections", v.id, timeout)
 		m.statsFor(v.id).Stalls.Add(1)
 		v.health.lastDrop.Store(now.UnixNano())
-		for _, st := range v.streams {
-			st.closeConn()
+		for _, w := range v.writers {
+			w.Sever()
 		}
 		for _, conn := range inbound[v.id] {
 			conn.Close()

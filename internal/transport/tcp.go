@@ -1,17 +1,18 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/runtime"
+	"repro/internal/stream"
 	"repro/internal/types"
 	"repro/internal/wire"
 )
@@ -20,14 +21,15 @@ import (
 // length-framed wire-encoded messages, lazy dialing and automatic
 // reconnection — the stdlib equivalent of the paper's Tokio TCP stack.
 //
-// Egress is allocation-light and interference-free: messages are encoded
-// once into pooled buffers (wire.GetBuf) and the same reference-counted
-// frame is shared across a broadcast's peers; each peer link runs two
+// Egress is allocation-light and interference-free: a message is encoded
+// once into a pooled buffer (wire.GetBuf), and a broadcast appends a copy
+// of that frame to each peer's writer; each peer link runs two
 // prioritized planes over separate TCP connections — control (votes,
 // consensus, certificates) and data (cars, sync payloads) — so a
 // multi-megabyte car can never head-of-line-block a PrepVote; and each
-// plane's writer drains its queue into a single writev-style flush
-// (net.Buffers), turning many small frames into one syscall.
+// plane's stream.Writer sends everything queued since its previous write
+// in one burst, turning many small frames into one syscall. Ingress reads
+// every frame of a connection through one buffered reader.
 type TCPMesh struct {
 	self  types.NodeID
 	addrs map[types.NodeID]string
@@ -61,7 +63,7 @@ type TCPMesh struct {
 }
 
 // Priority planes. Every peer link is two TCP connections, one per
-// plane, each with its own queue and writer.
+// plane, each with its own writer.
 const (
 	planeControl = 0 // votes, consensus messages, certificates, requests
 	planeData    = 1 // bulk payloads: lane proposals (cars), sync replies
@@ -80,60 +82,23 @@ func planeOf(t types.MsgType) int {
 	}
 }
 
-// Per-plane queue depths. Control frames are small and must survive data
-// backpressure; the data queue is shorter so a slow peer sheds bulk
-// traffic (retransmission recovers) instead of buffering gigabytes.
+// Per-plane queue depths, in frames. Control frames are small and must
+// survive data backpressure; the data queue is shorter so a slow peer
+// sheds bulk traffic (retransmission recovers) instead of buffering
+// gigabytes.
 var planeQueueDepth = [planeCount]int{planeControl: 8192, planeData: 1024}
 
-// Coalescing limits per flush: drain the queue until either bound, then
-// write the whole batch with one writev.
-const (
-	coalesceFrames = 64
-	coalesceBytes  = 1 << 20
-)
+// readBuffer sizes each inbound connection's read buffer: a burst of
+// small frames costs one read syscall, and a frame larger than the
+// buffer is read straight into its own pooled buffer.
+const readBuffer = 64 << 10
 
-// frame is one length-prefixed encoded message. Frames are pooled and
-// reference-counted: a broadcast enqueues the same frame to every peer,
-// and the backing buffer returns to the wire buffer pool only after the
-// last writer (or dropper) releases it.
-type frame struct {
-	buf  *wire.Buf // [len(4) | type | payload]
-	refs atomic.Int32
-}
-
-var framePool = sync.Pool{New: func() any { return new(frame) }}
-
-func (f *frame) release() {
-	if f.refs.Add(-1) == 0 {
-		f.buf.Release()
-		f.buf = nil
-		framePool.Put(f)
-	}
-}
-
-type stream struct {
-	out   chan *frame
-	plane int
-	ctr   *metrics.PlaneCounters
-	// health is the owning peer's liveness block (shared by both planes).
-	health *peerHealth
-
-	// connMu guards the active outbound connection, registered by
-	// writeLoop for the lifetime of one streamFrames call so the stall
-	// detector (and Stop) can sever it from outside — the only way to
-	// unblock a writer wedged inside net.Buffers.WriteTo on a peer that
-	// stopped reading.
-	connMu    sync.Mutex
-	conn      net.Conn
-	connSince time.Time
-	// writeStart is the wall-clock nanosecond a flush entered WriteTo (0
-	// = no write in flight): a write blocked longer than the stall
-	// timeout is the wedged-peer signature even when nothing else moves.
-	writeStart atomic.Int64
-}
-
+// peerConn is one peer's egress: a writer per plane, each living across
+// redials — writeLoop serves every dialled connection with it, and the
+// stall detector (and Stop) reach the connection through it.
 type peerConn struct {
-	streams [planeCount]*stream
+	writers [planeCount]*stream.Writer
+	ctrs    [planeCount]*metrics.PlaneCounters
 }
 
 // maxFrame bounds a single framed message, aligned with the wire codec's
@@ -179,9 +144,8 @@ func (m *TCPMesh) Start() error {
 }
 
 // Stop closes the listener, connections (inbound and outbound) and the
-// loop. Severing the registered outbound connections unblocks writers
-// wedged inside a blocking WriteTo to a dead peer, which the stopped
-// channel alone cannot reach.
+// loop. Closing the writers closes their connections too, which unblocks
+// a write wedged on a dead peer.
 func (m *TCPMesh) Stop() {
 	m.once.Do(func() {
 		close(m.stopped)
@@ -198,8 +162,8 @@ func (m *TCPMesh) Stop() {
 		}
 		m.mu.Unlock()
 		for _, pc := range conns {
-			for _, st := range pc.streams {
-				st.closeConn()
+			for _, w := range pc.writers {
+				w.Close()
 			}
 		}
 		m.loop.Stop()
@@ -278,8 +242,9 @@ func (m *TCPMesh) readLoop(conn net.Conn) {
 		m.mu.Unlock()
 		conn.Close()
 	}()
-	var hello [3]byte
-	if _, err := io.ReadFull(conn, hello[:]); err != nil {
+	br := bufio.NewReaderSize(conn, readBuffer)
+	hello, err := br.Peek(3)
+	if err != nil {
 		return
 	}
 	from := types.NodeID(binary.LittleEndian.Uint16(hello[:2]))
@@ -294,36 +259,36 @@ func (m *TCPMesh) readLoop(conn net.Conn) {
 		m.logger.Printf("transport: rejecting connection from %s with plane %d", from, hello[2])
 		return
 	}
+	br.Discard(len(hello))
 	m.mu.Lock()
 	m.inbound[conn] = from // stall teardown severs this peer's conns
 	m.mu.Unlock()
 	stats := m.statsFor(from)
 	health := m.healthFor(from)
-	var lenBuf [4]byte
+	// Pooled zero-copy ingress: each frame is read into a refcounted
+	// buffer and DecodeFrom aliases the message's payload slices into it —
+	// no per-field copies, no per-frame allocation churn. The frame
+	// reference rides with the message; any pipeline stage that drops the
+	// message releases it; delivery abandons it to the GC (the protocol
+	// may retain aliased data — see wire.Frame), as does a read cut short
+	// by a dead connection.
+	var fr *wire.Frame
+	alloc := func(n int) []byte {
+		fr = wire.GetFrame(n)
+		return fr.Data()
+	}
 	for {
-		if _, err := io.ReadFull(conn, lenBuf[:]); err != nil {
-			return
-		}
-		n := binary.LittleEndian.Uint32(lenBuf[:])
-		if n == 0 || n > maxFrame {
-			m.logger.Printf("transport: bad frame size %d from %s", n, from)
-			return
-		}
-		// Pooled zero-copy ingress: the frame is read into a refcounted
-		// buffer and DecodeFrom aliases the message's payload slices into
-		// it — no per-field copies, no per-frame allocation churn. The
-		// frame reference rides with the message; any pipeline stage that
-		// drops the message releases it, delivery abandons it to the GC
-		// (the protocol may retain aliased data — see wire.Frame).
-		fr := wire.GetFrame(int(n))
-		if _, err := io.ReadFull(conn, fr.Data()); err != nil {
-			fr.Release()
+		data, err := stream.ReadFrame(br, maxFrame, alloc)
+		if err != nil {
+			if errors.Is(err, stream.ErrFrameSize) {
+				m.logger.Printf("transport: from %s: %v", from, err)
+			}
 			return
 		}
 		stats.RecvFrames.Add(1)
-		stats.RecvBytes.Add(uint64(n) + 4)
+		stats.RecvBytes.Add(uint64(len(data) + stream.HeaderLen))
 		health.lastRecv.Store(time.Now().UnixNano())
-		msg, err := wire.DecodeFrom(fr.Data())
+		msg, err := wire.DecodeFrom(data)
 		if err != nil {
 			// An undecodable frame (garbage, or a type this build does not
 			// know) is dropped; the length prefix kept the stream in sync,
@@ -337,14 +302,14 @@ func (m *TCPMesh) readLoop(conn net.Conn) {
 }
 
 // encodeFrame wire-encodes msg (length prefix included) into a pooled
-// frame with one reference held by the caller. Messages whose encoding
-// exceeds the frame limit are dropped here: transmitting them would make
-// every receiver close the connection and the retransmitting protocol
-// would churn redials forever (a symptom of misconfiguration — e.g. a
-// batch-size cap beyond wire.MaxFrame — not of hostile peers).
-func (m *TCPMesh) encodeFrame(msg types.Message) *frame {
-	buf := wire.GetBuf(4 + wire.SizeHint(msg))
-	buf.B = append(buf.B, 0, 0, 0, 0)
+// buffer the caller releases. Messages whose encoding exceeds the frame
+// limit are dropped here: transmitting them would make every receiver
+// close the connection and the retransmitting protocol would churn
+// redials forever (a symptom of misconfiguration — e.g. a batch-size cap
+// beyond wire.MaxFrame — not of hostile peers).
+func (m *TCPMesh) encodeFrame(msg types.Message) *wire.Buf {
+	buf := wire.GetBuf(stream.HeaderLen + wire.SizeHint(msg))
+	buf.B = stream.AppendHeader(buf.B, 0)
 	var err error
 	buf.B, err = wire.EncodeTo(buf.B, msg)
 	if err != nil {
@@ -352,16 +317,14 @@ func (m *TCPMesh) encodeFrame(msg types.Message) *frame {
 		m.logger.Printf("transport: encode: %v", err)
 		return nil
 	}
-	if len(buf.B)-4 > maxFrame {
-		m.logger.Printf("transport: dropping oversized %d-byte message (frame limit %d): check batch/car size configuration", len(buf.B)-4, int64(maxFrame))
+	n := len(buf.B) - stream.HeaderLen
+	if n > maxFrame {
+		m.logger.Printf("transport: dropping oversized %d-byte message (frame limit %d): check batch/car size configuration", n, int64(maxFrame))
 		buf.Release()
 		return nil
 	}
-	binary.LittleEndian.PutUint32(buf.B, uint32(len(buf.B)-4))
-	f := framePool.Get().(*frame)
-	f.buf = buf
-	f.refs.Store(1)
-	return f
+	stream.AppendHeader(buf.B[:0], n)
+	return buf
 }
 
 // SetLinkFaults installs a fault injector on this mesh's egress (call
@@ -371,10 +334,10 @@ func (m *TCPMesh) SetLinkFaults(f *LinkFaults) { m.faults = f }
 
 // deliverFrame routes one frame to a peer through the fault injector (if
 // any): it may be dropped, duplicated, or re-enter the queue later from a
-// timer goroutine (delay/reorder).
-func (m *TCPMesh) deliverFrame(to types.NodeID, f *frame, plane int) {
+// timer goroutine (delay/reorder), which holds its own copy.
+func (m *TCPMesh) deliverFrame(to types.NodeID, frame []byte, plane int) {
 	if m.faults == nil {
-		m.enqueueFrame(to, f, plane)
+		m.enqueueFrame(to, frame, plane)
 		return
 	}
 	v := m.faults.decide(to, plane)
@@ -383,30 +346,25 @@ func (m *TCPMesh) deliverFrame(to types.NodeID, f *frame, plane int) {
 	}
 	if v.delay <= 0 {
 		for i := 0; i < v.copies; i++ {
-			m.enqueueFrame(to, f, plane)
+			m.enqueueFrame(to, frame, plane)
 		}
 		return
 	}
-	f.refs.Add(1) // hold the frame for the timer
+	held := append([]byte(nil), frame...)
 	copies := v.copies
 	time.AfterFunc(v.delay, func() {
 		for i := 0; i < copies; i++ {
-			m.enqueueFrame(to, f, plane)
+			m.enqueueFrame(to, held, plane)
 		}
-		f.release()
 	})
 }
 
-// enqueueFrame hands a frame (adding a reference) to one peer's plane.
-func (m *TCPMesh) enqueueFrame(to types.NodeID, f *frame, plane int) {
-	st := m.peer(to).streams[plane]
-	f.refs.Add(1)
-	select {
-	case st.out <- f:
-	default:
+// enqueueFrame appends a copy of frame to one peer's plane writer.
+func (m *TCPMesh) enqueueFrame(to types.NodeID, frame []byte, plane int) {
+	pc := m.peer(to)
+	if !pc.writers[plane].Append(func(b []byte) []byte { return append(b, frame...) }) {
 		// Peer queue full (slow or down): drop; retransmission recovers.
-		st.ctr.Drops.Add(1)
-		f.release()
+		pc.ctrs[plane].Drops.Add(1)
 	}
 }
 
@@ -416,27 +374,27 @@ func (m *TCPMesh) Send(_, to types.NodeID, msg types.Message) {
 		m.loop.Deliver(m.self, msg)
 		return
 	}
-	if f := m.encodeFrame(msg); f != nil {
-		m.deliverFrame(to, f, planeOf(msg.Type()))
-		f.release()
+	if buf := m.encodeFrame(msg); buf != nil {
+		m.deliverFrame(to, buf.B, planeOf(msg.Type()))
+		buf.Release()
 	}
 }
 
-// Broadcast implements Sender: the message is encoded once and the same
-// reference-counted frame is enqueued to every peer (writers only read
-// it), instead of paying the encoding n-1 times.
+// Broadcast implements Sender: the message is encoded once and each
+// peer's writer appends a copy of the frame, instead of paying the
+// encoding n-1 times.
 func (m *TCPMesh) Broadcast(_ types.NodeID, msg types.Message) {
-	f := m.encodeFrame(msg)
-	if f == nil {
+	buf := m.encodeFrame(msg)
+	if buf == nil {
 		return
 	}
 	plane := planeOf(msg.Type())
 	for id := range m.addrs {
 		if id != m.self {
-			m.deliverFrame(id, f, plane)
+			m.deliverFrame(id, buf.B, plane)
 		}
 	}
-	f.release()
+	buf.Release()
 }
 
 // peer returns (creating if needed) the outbound connection manager.
@@ -446,14 +404,18 @@ func (m *TCPMesh) peer(to types.NodeID) *peerConn {
 	if pc, ok := m.conns[to]; ok {
 		return pc
 	}
-	pc := &peerConn{}
 	stats := m.statsForLocked(to)
 	health := m.healthForLocked(to)
-	ctrs := [planeCount]*metrics.PlaneCounters{&stats.Control, &stats.Data}
+	pc := &peerConn{ctrs: [planeCount]*metrics.PlaneCounters{&stats.Control, &stats.Data}}
 	for p := 0; p < planeCount; p++ {
-		st := &stream{out: make(chan *frame, planeQueueDepth[p]), plane: p, ctr: ctrs[p], health: health}
-		pc.streams[p] = st
-		go m.writeLoop(to, st)
+		ctr := pc.ctrs[p]
+		pc.writers[p] = stream.NewWriter(planeQueueDepth[p], func(frames, bytes int) {
+			ctr.Frames.Add(uint64(frames))
+			ctr.Flushes.Add(1)
+			ctr.Bytes.Add(uint64(bytes))
+			health.lastSend.Store(time.Now().UnixNano())
+		})
+		go m.writeLoop(to, p, pc.writers[p])
 	}
 	m.conns[to] = pc
 	return pc
@@ -469,8 +431,8 @@ func (m *TCPMesh) peer(to types.NodeID) *peerConn {
 // connection SURVIVES for a while (backoffResetAfter), not merely on a
 // successful dial: a peer that dies right after accepting keeps the
 // delay growing.
-func (m *TCPMesh) writeLoop(to types.NodeID, st *stream) {
-	bo := newDialBackoff(backoffSeed(m.self, to, st.plane))
+func (m *TCPMesh) writeLoop(to types.NodeID, plane int, w *stream.Writer) {
+	bo := newDialBackoff(backoffSeed(m.self, to, plane))
 	stats := m.statsFor(to)
 	dialed := false
 	for {
@@ -489,7 +451,7 @@ func (m *TCPMesh) writeLoop(to types.NodeID, st *stream) {
 		// Handshake: announce our ID and this connection's plane.
 		var hello [3]byte
 		binary.LittleEndian.PutUint16(hello[:2], uint16(m.self))
-		hello[2] = byte(st.plane)
+		hello[2] = byte(plane)
 		if _, err := conn.Write(hello[:]); err != nil {
 			conn.Close()
 			if !m.sleepBackoff(bo) {
@@ -502,80 +464,14 @@ func (m *TCPMesh) writeLoop(to types.NodeID, st *stream) {
 			stats.Redials.Add(1)
 		}
 		dialed = true
-		st.setConn(conn)
 		start := time.Now()
-		err = m.streamFrames(conn, st)
-		st.clearConn()
-		conn.Close()
+		err = w.Run(conn)
 		if err == nil {
 			return // mesh stopped
 		}
 		bo.noteSuccess(time.Since(start))
 		if !m.sleepBackoff(bo) {
 			return
-		}
-	}
-}
-
-// streamFrames drains the plane's queue into coalesced writev batches:
-// one blocking receive, then an opportunistic drain up to the coalescing
-// limits, then a single net.Buffers write for the whole run of frames.
-func (m *TCPMesh) streamFrames(conn net.Conn, st *stream) error {
-	batch := make([]*frame, 0, coalesceFrames)
-	// scratch backs each flush's net.Buffers. WriteTo consumes the
-	// slice header it is given, so every flush hands it a fresh header
-	// over this persistent array — reusing the consumed header would
-	// shrink its capacity to nothing and put an allocation back on the
-	// hot path.
-	scratch := make([][]byte, 0, coalesceFrames)
-	for {
-		select {
-		case <-m.stopped:
-			return nil
-		case f := <-st.out:
-			batch = append(batch[:0], f)
-			total := len(f.buf.B)
-		drain:
-			for len(batch) < coalesceFrames && total < coalesceBytes {
-				select {
-				case f2 := <-st.out:
-					batch = append(batch, f2)
-					total += len(f2.buf.B)
-				default:
-					break drain
-				}
-			}
-			scratch = scratch[:0]
-			for _, fr := range batch {
-				scratch = append(scratch, fr.buf.B)
-			}
-			bufs := net.Buffers(scratch)
-			// Mark the write in flight: if WriteTo blocks past the stall
-			// timeout (peer stopped reading but keeps the session open),
-			// the stall monitor severs conn from outside, failing the
-			// write and bouncing this loop back to a redial.
-			st.writeStart.Store(time.Now().UnixNano())
-			_, err := bufs.WriteTo(conn)
-			st.writeStart.Store(0)
-			if err != nil {
-				// Re-queue best effort (references kept), then redial.
-				for _, fr := range batch {
-					select {
-					case st.out <- fr:
-					default:
-						st.ctr.Drops.Add(1)
-						fr.release()
-					}
-				}
-				return err
-			}
-			st.ctr.Frames.Add(uint64(len(batch)))
-			st.ctr.Flushes.Add(1)
-			st.ctr.Bytes.Add(uint64(total))
-			st.health.lastSend.Store(time.Now().UnixNano())
-			for _, fr := range batch {
-				fr.release()
-			}
 		}
 	}
 }

@@ -135,7 +135,11 @@ func NewReplica(self types.NodeID, addrs map[types.NodeID]string, o Options, log
 // Start begins listening, connects to peers lazily, and launches the
 // replica's event loop and batch-flush ticker.
 func (r *Replica) Start() error {
+	// Set before the event loop exists: a journal fatal in its first
+	// handler calls Stop from another goroutine, which must see it.
+	r.started = true
 	if err := r.mesh.Start(); err != nil {
+		r.started = false // the loop never ran: nothing to Join
 		return err
 	}
 	if r.gateway != nil {
@@ -144,7 +148,6 @@ func (r *Replica) Start() error {
 			return err
 		}
 	}
-	r.started = true
 	go flushLoop(r.opts.MaxBatchDelay, r.epoch, r.done, []*member{r.m})
 	return nil
 }
