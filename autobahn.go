@@ -39,7 +39,7 @@ import (
 
 // Options configures an Autobahn deployment. The zero value plus N yields
 // the paper's evaluation configuration (§6): fast path on, optimistic
-// tips on, 1s view timeout, 1000-tx / 500KB batches sealed within 100ms.
+// tips on, view timeouts capped at 1s, 1000-tx / 500KB batches sealed within 100ms.
 // Real-time deployments (LiveCluster, Replica) always sign and verify
 // with ed25519; the simulator charges crypto through its network model.
 type Options struct {
@@ -48,7 +48,9 @@ type Options struct {
 	// Seed drives deterministic key generation and simulation randomness.
 	Seed uint64
 
-	// ViewTimeout is the consensus progress timer (default 1s).
+	// ViewTimeout is the ceiling of the adaptive view timer (default 1s):
+	// each replica's base view timeout follows its own decide latency
+	// and never exceeds this.
 	ViewTimeout time.Duration
 
 	// MaxBatchTxs / MaxBatchDelay configure mempool batching (defaults

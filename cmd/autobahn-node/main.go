@@ -46,7 +46,7 @@ func main() {
 	id := flag.Int("id", 0, "this replica's ID (0-based, ordered as in -peers)")
 	peers := flag.String("peers", "", "comma-separated replica addresses ordered by ID")
 	walPath := flag.String("wal", "", "write-ahead log path for crash-restart recovery; committed batches go to <path>.commits (optional)")
-	timeout := flag.Duration("view-timeout", time.Second, "consensus view timeout")
+	timeout := flag.Duration("view-timeout", time.Second, "ceiling of the adaptive view timer: the base view timeout follows this replica's decide latency (4 x p99, at least 140ms) and never exceeds this")
 	quiet := flag.Bool("quiet", false, "suppress the once-a-second stats line")
 	pprofAddr := flag.String("pprof", "", "listen address for net/http/pprof live profiling, e.g. 127.0.0.1:6060 (optional)")
 	shards := flag.Int("shards", 0, "data-plane worker shards: lane traffic parallelism (0 = auto: one per core up to committee size, 1 = single-threaded)")
@@ -181,10 +181,11 @@ func main() {
 			gw = fmt.Sprintf("; gateway %d admitted/%d rejected/%d deduped, %d acked (mean %s), %d ack-drops",
 				s.Admitted, s.Rejected(), s.Deduped, s.Acked, s.AckLatencyMean.Round(time.Microsecond), s.AckDrops)
 		}
-		starts := replica.Node().Engine().StartCounts()
-		logger.Printf("committed %d txs in %d batches (slot %d); starts %d covered/%d lowered/%d backstop; egress ctl %d frames/%d flushes, data %d frames/%d flushes, %d drops; ingress %d ctl/%d shard events, %d drops; links %d dials/%d redials/%d stalls; sync %d requests (%d retries), %d B received, %d B redundant, %d unservable%s",
+		eng := replica.Node().Engine()
+		starts := eng.StartCounts()
+		logger.Printf("committed %d txs in %d batches (slot %d); starts %d covered/%d lowered/%d backstop; view timeout %s; egress ctl %d frames/%d flushes, data %d frames/%d flushes, %d drops; ingress %d ctl/%d shard events, %d drops; links %d dials/%d redials/%d stalls; sync %d requests (%d retries), %d B received, %d B redundant, %d unservable%s",
 			committedTx.Load(), committedBatches.Load(), lastSlot.Load(),
-			starts.Covered, starts.Lowered, starts.Backstop,
+			starts.Covered, starts.Lowered, starts.Backstop, eng.BaseViewTimeout().Round(time.Millisecond),
 			egress.Control.Frames, egress.Control.Flushes,
 			egress.Data.Frames, egress.Data.Flushes,
 			egress.Control.Drops+egress.Data.Drops,

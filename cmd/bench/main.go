@@ -183,7 +183,9 @@ func main() {
 
 	run("fig7", func() {
 		// Three leader-failure scenarios: Dbl (rotating, 1s timeout),
-		// stable 1s, stable 5s — VanillaHS vs Autobahn.
+		// stable 1s, stable 5s — VanillaHS vs Autobahn. The timeout is
+		// VanillaHS's fixed view timer and the ceiling of Autobahn's
+		// adaptive one, which settles below it on this WAN (~0.47 s).
 		scenarios := []struct {
 			name    string
 			stable  bool

@@ -121,8 +121,10 @@ type Config struct {
 	// A PrepareQC then needs 2f+1 votes of which f+1 strong; the fast path
 	// still requires n strong votes. Requires OptimisticTips.
 	WeakVotes bool
-	// ViewTimeout is the base view timer (default 1s, the paper's §6
-	// setting); view v waits ViewTimeout * 2^v (doubling, capped).
+	// ViewTimeout is the ceiling of the adaptive view timer (default 1s,
+	// the paper's §6 setting): the base timeout follows this replica's
+	// decide latency (pacemaker.go) and never exceeds it; view v waits
+	// base * 2^v (doubling, capped).
 	ViewTimeout time.Duration
 	// MaxParallel is k, the bound on concurrent slot instances (§5.4;
 	// default 4).
@@ -169,7 +171,9 @@ type slotState struct {
 	coverageRelaxed  bool
 	coverageTimerSet bool
 	timerRunning     bool
-	proposed         bool // leader: proposed in current view
+	view0Armed       bool          // this replica armed the view-0 timer
+	view0At          time.Duration // when it did (the pacemaker's sample start)
+	proposed         bool          // leader: proposed in current view
 
 	// Replica-side per-slot agreement state (the cheat-sheet's prop/conf).
 	highProp  *types.ConsensusProposal // highest-view proposal voted for
@@ -226,12 +230,15 @@ type Engine struct {
 	// View-0 proposals by start cause (see StartCounts); atomic because
 	// operators poll them from outside the event loop.
 	startsCovered, startsLowered, startsBackstop atomic.Uint64
+
+	// pace is the adaptive view timer (pacemaker.go).
+	pace pacemaker
 }
 
 // NewEngine builds a consensus engine.
 func NewEngine(cfg Config, env Env, provider Provider) *Engine {
 	cfg.fill()
-	return &Engine{
+	e := &Engine{
 		cfg:           cfg,
 		env:           env,
 		provider:      provider,
@@ -240,6 +247,8 @@ func NewEngine(cfg Config, env Env, provider Provider) *Engine {
 		lastCommitPos: make([]types.Pos, cfg.Committee.Size()),
 		lastPropose:   -time.Hour,
 	}
+	e.pace.init(cfg.ViewTimeout)
+	return e
 }
 
 // Init bootstraps slot 1 (its parent-prepare precondition is vacuous).
@@ -375,6 +384,10 @@ func (e *Engine) StartCounts() StartCounts {
 	}
 }
 
+// BaseViewTimeout returns the adaptive view timer's current base: what
+// view 0 of the next slot waits (pacemaker.go); safe from any goroutine.
+func (e *Engine) BaseViewTimeout() time.Duration { return e.pace.timeout(0) }
+
 // Restore re-marks this replica's pre-crash consensus votes from a
 // journal snapshot so the restarted replica can never contradict them:
 // views with a journaled PrepVote or ConfirmAck are treated as already
@@ -457,7 +470,8 @@ func (e *Engine) evalStart(s types.Slot) {
 	// Arm the view-0 progress timer (all replicas).
 	if !st.timerRunning && st.view == 0 {
 		st.timerRunning = true
-		e.env.SetTimer(Timer{Kind: TimerView, Slot: s, View: 0, Delay: e.viewTimeout(0)})
+		st.view0Armed, st.view0At = true, e.env.Now()
+		e.env.SetTimer(Timer{Kind: TimerView, Slot: s, View: 0, Delay: e.pace.timeout(0)})
 	}
 	// Propose if we lead view 0.
 	if st.view == 0 && !st.proposed && e.cfg.Committee.Leader(s, 0) == e.cfg.Self && e.propose(st) {
@@ -539,15 +553,6 @@ func (e *Engine) OnTipsAdvanced() {
 	for s := e.frontier; s > 0 && s+types.Slot(e.cfg.MaxParallel) > e.frontier; s-- {
 		e.evalStart(s)
 	}
-}
-
-// viewTimeout doubles per view, capped to avoid overflow.
-func (e *Engine) viewTimeout(v types.View) time.Duration {
-	shift := uint(v)
-	if shift > 6 {
-		shift = 6
-	}
-	return e.cfg.ViewTimeout << shift
 }
 
 // --- Prepare phase (§5.2.1 P1) ---
@@ -950,6 +955,11 @@ func (e *Engine) deliverCommit(st *slotState, qc *types.CommitQC, prop *types.Co
 	}
 	e.lastCommitPos = cutPositions(prop.Cut)
 	e.observeStarted(st.slot)
+	if st.view0Armed {
+		// A slot that entered a later view needed a view change, whatever
+		// view its certificate names.
+		e.pace.decided(max(qc.View, st.view), st.view0At, e.env.Now())
+	}
 	// Cancel interest in this slot's timers (they become no-ops).
 	st.timerRunning = false
 	notice := &types.CommitNotice{QC: *qc, Proposal: *prop}

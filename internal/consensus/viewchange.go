@@ -97,7 +97,7 @@ func (e *Engine) startMutiny(st *slotState, v types.View) {
 	e.cfg.Journal.Timeout(t)
 	e.env.Broadcast(t)
 	// Re-arm so the complaint repeats while the view stays stuck.
-	e.env.SetTimer(Timer{Kind: TimerView, Slot: st.slot, View: v, Delay: e.viewTimeout(v)})
+	e.env.SetTimer(Timer{Kind: TimerView, Slot: st.slot, View: v, Delay: e.pace.timeout(v)})
 	if first {
 		e.collectTimeout(st, e.cfg.Self, t)
 	}
@@ -172,7 +172,7 @@ func (e *Engine) enterView(st *slotState, v types.View) {
 	st.fastArmed = false
 	st.pendingVote = nil
 	st.timerRunning = true
-	e.env.SetTimer(Timer{Kind: TimerView, Slot: st.slot, View: v, Delay: e.viewTimeout(v)})
+	e.env.SetTimer(Timer{Kind: TimerView, Slot: st.slot, View: v, Delay: e.pace.timeout(v)})
 	if prep, ok := st.prepBuffer[v]; ok {
 		delete(st.prepBuffer, v)
 		e.processPrepare(prep.Leader, prep)

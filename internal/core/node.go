@@ -73,7 +73,8 @@ type Config struct {
 	// lane downgrades that lane and proposes only its certified tips until
 	// committed cars restore its standing. Requires OptimisticTips.
 	Reputation bool
-	// ViewTimeout is the consensus progress timer (default 1s).
+	// ViewTimeout is the ceiling of the adaptive view timer (default 1s;
+	// consensus.Config.ViewTimeout).
 	ViewTimeout time.Duration
 
 	// Shards partitions the data plane (see shard.go): lane i belongs to

@@ -44,7 +44,8 @@ type ClusterConfig struct {
 	// VerifySigs enables real ed25519 end to end (slower; default off —
 	// signature cost is charged by the network model).
 	VerifySigs bool
-	// ViewTimeout for consensus progress timers (default 1s, §6).
+	// ViewTimeout is the ceiling of Autobahn's adaptive view timer and
+	// the fixed timer of the HotStuff baselines (default 1s, §6).
 	ViewTimeout time.Duration
 	// Autobahn toggles (fast path and optimistic tips default true, the
 	// paper's configuration; weak votes are the §5.5.2 refinement and

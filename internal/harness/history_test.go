@@ -10,11 +10,13 @@ import (
 	"repro/internal/types"
 )
 
-// historyViewTimeout is the view timeout of the history-window runs.
-// Each slot a down replica leads waits out a view timeout, so at the
-// default 1 s an n = 4 cluster decides about 3 slots/s while one replica
-// is down, and an outage would have to last some 90 s to span
-// RetainSlots; at 150 ms it decides about 7.5.
+// historyViewTimeout is the view timeout ceiling of the history-window
+// runs. Each slot a down replica leads waits out a view timeout. Under
+// the default 1 s ceiling the adaptive timer settles on this WAN at
+// about 0.47 s (4 x a p99 decide latency of ~117 ms), so an n = 4
+// cluster decides about 5 slots/s while one replica is down, and an
+// outage would have to last some 50 s to span RetainSlots. A 150 ms
+// ceiling holds the timer at 150 ms: about 7.5 slots/s.
 const historyViewTimeout = 150 * time.Millisecond
 
 // historyRun is one n = 4 simulated run for the history-window tests,

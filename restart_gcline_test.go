@@ -16,10 +16,10 @@ import (
 )
 
 // TestRestartBeneathGCLine: history sync and state sync must tile. A
-// replica stops a few slots before its peers' snapshot boundary; the view
-// timeouts its absence causes pack more than the snapshot GC margin (128
-// positions) of cars per loaded lane into the next few slots, so when the
-// peers checkpoint, their truncation line passes the victim's committed
+// replica stops far enough before its peers' snapshot boundary that more
+// than twice the snapshot GC margin (128 positions) of cars per loaded
+// lane commit between its stop and the boundary, so when the peers
+// checkpoint, their truncation line passes the victim's committed
 // frontier. Restarted from its WAL fewer than 2 x SnapshotEvery slots
 // behind, the victim is too close for the distance rule to start a state
 // sync and too far beneath the line for anyone to serve it history: it
@@ -33,14 +33,14 @@ func TestRestartBeneathGCLine(t *testing.T) {
 		n        = 4
 		victim   = types.NodeID(3)
 		gcMargin = types.Pos(128) // core.snapGCMargin
-		// Two snapshot intervals must take the peers longer than the 5 s the
-		// victim gets, or the distance rule fires and hides the hole: at
-		// the ~100 slots/s of two lanes sealing every 10 ms, 600 slots.
+		// Two snapshot intervals less the victim's lag (~95 slots) must
+		// take the peers longer than the 5 s the victim gets, or the
+		// distance rule fires and hides the hole: at the ~100 slots/s of
+		// two lanes sealing every 10 ms, ~505 slots.
 		snapEvery = types.Slot(300)
-		// The victim stops this many slots short of the boundary: with it
-		// down every fourth slot waits out a view timeout, so the peers need
-		// two or three to get there, each worth ~200 cars per lane.
-		runUp = 10
+		// Positions per slot and per second are measured once the victim
+		// has committed this many slots.
+		warmUp = 50
 	)
 	loaded := []types.NodeID{0, 1}
 	addrs := autobahn.FreeAddrs(t, n)
@@ -93,6 +93,7 @@ func TestRestartBeneathGCLine(t *testing.T) {
 	defer stop()
 
 	// Open-loop load on the loaded lanes until told to stop.
+	loadStart := time.Now()
 	quit, done := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(done)
@@ -124,9 +125,29 @@ func TestRestartBeneathGCLine(t *testing.T) {
 		}
 	}
 
-	// Stop the victim a few slots before the first snapshot boundary.
+	// Stop the victim as late as it can stop and still miss more than
+	// 2 x gcMargin positions per loaded lane before the first snapshot
+	// boundary. While it is down, every n-th slot waits out a peer's view
+	// timeout T, so a slot carries the positions per slot seen so far
+	// plus T/n seconds' worth of the lane's positions per second. The
+	// estimate aims at 2.5 x gcMargin, a quarter over, for its own error.
 	waitFor("the run-up to the first snapshot boundary", 60*time.Second, func() bool {
-		return slot[victim].Load() >= uint64(snapEvery)-runUp
+		s := slot[victim].Load()
+		if s < warmUp {
+			return false
+		}
+		if s+1 >= uint64(snapEvery) {
+			return true
+		}
+		timeout := replicas[0].Node().Engine().BaseViewTimeout().Seconds()
+		for _, l := range loaded {
+			pos := float64(frontier[victim][l].Load())
+			perSlot := pos/float64(s) + pos/time.Since(loadStart).Seconds()*timeout/n
+			if float64(uint64(snapEvery)-s-1)*perSlot >= 2.5*float64(gcMargin) {
+				return false
+			}
+		}
+		return true
 	})
 	replicas[victim].Stop()
 	stopped := slot[victim].Load()
