@@ -14,9 +14,16 @@ import (
 // Config.ViewTimeout). A sample is the time from arming a slot's view-0
 // timer to deciding it locally, taken only for slots decided in view 0:
 // a slot that needed a view change is what the timer detects, so it never
-// feeds the timer. A faulty leader can only raise the p99 (by slow-walking
-// its own slots), and the ceiling caps that at the fixed timer's
-// behaviour; it cannot make correct leaders' slots look faster.
+// feeds the timer. Two such slots decided in a row back the timer off
+// instead: the base shifts left by the view that decided the second, up
+// to the ceiling, so that once the whole cluster slows beyond the base its
+// slots decide in view 0 again and the window learns the new latency. A
+// down leader between healthy slots never backs it off. A view-0 sample
+// no slower than the window's rule drops the base back to the rule; a
+// slower one keeps the backoff until the window has caught up. A faulty
+// leader can only raise the base (by slow-walking its own slots or by
+// forcing view changes on them), and the ceiling caps that at the fixed
+// timer's behaviour; it cannot make correct leaders' slots look faster.
 const (
 	// paceWindow is how many recent decide latencies the timer keeps.
 	paceWindow = 256
@@ -36,8 +43,9 @@ const (
 type pacemaker struct {
 	ceiling time.Duration
 	ring    [paceWindow]time.Duration
-	held    int // samples in ring, at most paceWindow
-	next    int // ring index the next sample overwrites
+	held    int  // samples in ring, at most paceWindow
+	next    int  // ring index the next sample overwrites
+	stalled bool // the last decision came after a view change
 	base    atomic.Int64
 }
 
@@ -47,19 +55,31 @@ func (p *pacemaker) init(ceiling time.Duration) {
 }
 
 // decided samples a slot decided at now in view v whose view-0 timer this
-// replica armed at armed. Only view-0 decisions count; one decided after
-// this replica's own view-0 timer fired does, so a spurious timeout
-// raises the base.
+// replica armed at armed. Only view-0 decisions are sampled; one decided
+// after this replica's own view-0 timer fired is, so a spurious timeout
+// raises the base. A later-view decision right after another backs the
+// base off instead.
 func (p *pacemaker) decided(v types.View, armed, now time.Duration) {
+	base := time.Duration(p.base.Load())
 	if v != 0 {
+		if p.stalled {
+			p.base.Store(int64(min(base<<min(uint(v), maxViewShift), p.ceiling)))
+		}
+		p.stalled = true
 		return
 	}
-	p.ring[p.next] = now - armed
+	p.stalled = false
+	took := now - armed
+	p.ring[p.next] = took
 	p.next = (p.next + 1) % paceWindow
 	if p.held < paceWindow {
 		p.held++
 	}
-	p.base.Store(int64(p.derive()))
+	next := p.derive()
+	if took > next {
+		next = max(next, base)
+	}
+	p.base.Store(int64(next))
 }
 
 // derive computes the base from the window: paceMultiplier × the

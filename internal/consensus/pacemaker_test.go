@@ -63,18 +63,65 @@ func TestPacemakerP99(t *testing.T) {
 	}
 }
 
-func TestPacemakerIgnoresLaterViews(t *testing.T) {
+// TestPacemakerLaterViewsBackOff: a slot decided in a later view adds no
+// sample. One alone (a down leader between healthy slots) leaves the base
+// alone; each further one in a row shifts it left by its view, up to the
+// ceiling. A view-0 sample no slower than the window's rule ends the run
+// and drops the base back.
+func TestPacemakerLaterViewsBackOff(t *testing.T) {
 	p := newTestPacemaker()
 	p.decided(1, 0, 5*time.Millisecond)
-	if got := p.timeout(0); got != testCeiling {
-		t.Fatalf("a view-1 decision moved the empty window to %v", got)
+	if p.held != 0 {
+		t.Fatalf("a view-1 decision was sampled")
 	}
 	p.fill(paceWindow, 2*time.Millisecond)
-	for i := 0; i < 3; i++ {
+	for i, want := range []time.Duration{paceFloor, 2 * paceFloor, 4 * paceFloor, testCeiling} {
 		p.decided(1, 0, 3*time.Second)
+		if got := p.timeout(0); got != want {
+			t.Fatalf("after %d view-1 decisions in a row the base is %v, want %v", i+1, got, want)
+		}
+	}
+	if p.held != paceWindow || p.derive() != paceFloor {
+		t.Fatalf("view-1 decisions changed the window")
+	}
+	p.fill(1, 2*time.Millisecond)
+	if got := p.timeout(0); got != paceFloor {
+		t.Fatalf("a fast view-0 sample after the backoff left the base at %v, want the floor %v", got, paceFloor)
+	}
+	// A down leader every few slots: one later-view decision between
+	// view-0 ones never backs the timer off.
+	for i := 0; i < 10; i++ {
+		p.decided(1, 0, time.Second)
+		p.fill(3, 2*time.Millisecond)
 	}
 	if got := p.timeout(0); got != paceFloor {
-		t.Fatalf("view-1 decisions raised the base to %v, want the floor %v", got, paceFloor)
+		t.Fatalf("isolated view-1 decisions moved the base to %v, want the floor %v", got, paceFloor)
+	}
+	p.decided(1, 0, time.Second)
+	p.decided(2, 0, time.Second)
+	if got, want := p.timeout(0), 4*paceFloor; got != want {
+		t.Fatalf("a view-2 decision after a view-1 one backed the base off to %v, want %v", got, want)
+	}
+}
+
+// TestPacemakerSlowSampleKeepsBackOff: after the backoff, a view-0 sample
+// slower than the window's rule keeps the backed-off base until the
+// window holds enough such samples to carry it (a cluster-wide slowdown).
+func TestPacemakerSlowSampleKeepsBackOff(t *testing.T) {
+	p := newTestPacemaker()
+	p.fill(paceWindow, 2*time.Millisecond)
+	p.decided(1, 0, time.Second)
+	p.decided(2, 0, time.Second) // 140ms -> 560ms
+	slow := 300 * time.Millisecond
+	for i := 0; i < 2; i++ {
+		p.fill(1, slow)
+		if got, want := p.timeout(0), 4*paceFloor; got != want {
+			t.Fatalf("after %d slow view-0 samples the base is %v, want the backoff %v", i+1, got, want)
+		}
+	}
+	p.fill(1, slow) // the third is the window's p99
+	if got := p.timeout(0); got != testCeiling {
+		t.Fatalf("three samples of %v give %v, want 4 x %v capped at the ceiling %v", slow, got, slow, testCeiling)
 	}
 }
 
@@ -108,7 +155,7 @@ func TestPacemakerLaterViewsDouble(t *testing.T) {
 // a replica decides slot 1 in view 0 a few ms after arming its timer and
 // drops to the floor, while one whose view-0 timer fired before the
 // decision takes the late sample; a slot decided in view 1 samples
-// nothing.
+// nothing and only backs the base off.
 func TestEngineSamplesViewZeroDecisions(t *testing.T) {
 	const ceiling = 2 * time.Second
 	n := newNet(t, func(_ types.NodeID, cfg *Config) { cfg.ViewTimeout = ceiling })
